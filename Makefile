@@ -6,6 +6,8 @@
 #   race   race-detector pass over the packages the parallel engine
 #          drives (engine, experiments, the HTTP service, and the
 #          sim/trace/tracefile paths its workers execute concurrently)
+#          plus the event queue, memory controller and RRM core that
+#          every simulation runs
 #   bench  paper-artifact benchmarks (quick windows)
 #   bench-json
 #          hot-path component benchmarks -> BENCH_10.json (ns/op, B/op,
@@ -57,7 +59,7 @@ test:
 	$(GO) test ./...
 
 race:
-	$(GO) test -race ./internal/cluster/... ./internal/dram/... ./internal/engine/... ./internal/experiments/... ./internal/reliability/... ./internal/sampling/... ./internal/server/... ./internal/sim/... ./internal/stats/... ./internal/trace/... ./internal/tracefile/...
+	$(GO) test -race ./internal/cluster/... ./internal/core/... ./internal/dram/... ./internal/engine/... ./internal/experiments/... ./internal/memctrl/... ./internal/reliability/... ./internal/sampling/... ./internal/server/... ./internal/sim/... ./internal/stats/... ./internal/timing/... ./internal/trace/... ./internal/tracefile/...
 
 bench:
 	$(GO) test -bench=. -benchmem -run='^$$' .

@@ -258,8 +258,9 @@ func (c *Core) scheduleStep(at timing.Time) {
 
 // UseTimerStep switches the core's self-scheduling to a timer slot on
 // its queue (the sharded engine; standalone queues never dispatch
-// timers). Must be called before Start. The serial engine without this
-// call is byte-frozen, including its event and snapshot stream.
+// timers). Must be called before Start. Arm draws its sequence number
+// exactly as Schedule would, so the step fires in the same (time, seq)
+// position on either engine.
 func (c *Core) UseTimerStep() {
 	c.fast = true
 	c.timer = c.eq.NewTimer(c.stepFn)

@@ -42,7 +42,7 @@ func New(cfg Config, amap *pcm.AddressMap, eq *timing.EventQueue, rec Recorder) 
 	dev := amap.Config()
 	for i := 0; i < dev.Channels; i++ {
 		ch := &channel{ctl: c, id: i, eq: eq, banks: make([]bankState, dev.Banks),
-			bankFree: make([]timing.Time, dev.Banks)}
+			bankFree: make([]timing.Time, dev.Banks), kickAt: make([]timing.Time, dev.Banks)}
 		if dev.Banks > 64 {
 			ch.wideBanks = true
 		} else {
@@ -77,9 +77,10 @@ func (c *Controller) Config() Config { return c.cfg }
 // re-scan with an incremental per-channel timer slot: the scheduler
 // scans record the earliest instant any blocked request could start,
 // and the wakeup is re-aimed with a single store instead of a
-// Cancel+Schedule heap round-trip. Must be called before any traffic;
-// the serial engine (without this call) is byte-frozen, including its
-// event and snapshot stream.
+// Cancel+Schedule heap round-trip. Must be called before any traffic.
+// Both engines arm wakeups by the same rule and draw sequence numbers
+// identically, so they dispatch the same (time, seq) event stream and
+// write the same snapshots.
 func (c *Controller) SetShardQueues(qs []*timing.EventQueue) {
 	if len(qs) != len(c.chans) {
 		panic(fmt.Sprintf("memctrl: %d shard queues for %d channels", len(qs), len(c.chans)))
@@ -426,6 +427,13 @@ type channel struct {
 	// it (bankState's former freeAt field, split out so the armWakeup
 	// min-scan reads a dense timestamp array).
 	bankFree []timing.Time
+
+	// kickAt[i] is when the event ending bank i's latest transaction
+	// fires and kicks the channel: the read completion (after any ECC
+	// stall) or the write completion. When it equals bankFree[i], that
+	// already-scheduled event re-scans the channel the instant the bank
+	// frees, so armWakeup need not wake for it (see there).
+	kickAt []timing.Time
 
 	// readsPerBank counts queued reads per bank, so resume decisions
 	// (readWaitingFor) are O(1) instead of a read-queue scan.
@@ -819,6 +827,7 @@ func (ch *channel) startRead(r *Request, now timing.Time) {
 	if ch.ctl.ri != nil {
 		done += ch.ctl.ri.OnDemandRead(r.Addr, done)
 	}
+	ch.kickAt[r.loc.Bank] = done
 
 	lat := done - r.enqueuedAt
 	ch.ctl.stats.ReadsServed++
@@ -881,6 +890,7 @@ func (ch *channel) startWrite(r *Request, now timing.Time) {
 	b.wr = wr
 	done := wr.completionTime()
 	ch.bankFree[r.loc.Bank] = done
+	ch.kickAt[r.loc.Bank] = done
 	ch.busyMask |= 1 << uint(r.loc.Bank)
 	ch.pausableMask |= 1 << uint(r.loc.Bank)
 	ch.wrMask |= 1 << uint(r.loc.Bank)
@@ -897,6 +907,7 @@ func (ch *channel) resumeWrite(wr *inflightWrite, now timing.Time) {
 	wr.runHasReset = false
 	done := wr.completionTime()
 	ch.bankFree[wr.bank] = done
+	ch.kickAt[wr.bank] = done
 	ch.busyMask |= 1 << uint(wr.bank)
 	ch.ctl.stats.BankBusy += done - now
 	wr.completion = ch.eq.Schedule(done, wr.completeFn)
@@ -984,13 +995,21 @@ func (ch *channel) wakeup(t timing.Time) {
 	ch.kick(t)
 }
 
-// armWakeup schedules a re-scan at the earliest future instant any
-// pending work could start. On the sharded engine the wakeup lives in a
-// timer slot instead of a heap event: re-aiming is two stores instead of
-// a Cancel+Schedule sift round-trip, and since Arm draws a sequence
-// number exactly like Schedule, the timer fires in precisely the
-// position the replaced event would have — the serial dispatch order is
-// preserved bit-for-bit.
+// armWakeup schedules a re-scan at the earliest future instant some
+// pending work could start and no already-scheduled event kicks the
+// channel anyway. A start waits on a bank freeing (bankFree) or on a
+// tFAW activation slot (actAllowedAt); nothing in tryStart waits on the
+// bus. A bank whose kickAt equals its bankFree is skipped: its
+// completion event was scheduled before this wakeup could be, so it
+// fires first at that instant and kicks the channel itself, and the
+// wakeup would find nothing left to start. What remains is the ECC
+// stall (the bank frees before its read completes) and tFAW expiry.
+//
+// On the sharded engine the wakeup lives in a timer slot instead of a
+// heap event: re-aiming is two stores instead of a Cancel+Schedule sift
+// round-trip, and since Arm draws a sequence number exactly like
+// Schedule, the timer fires in precisely the position the replaced
+// event would have — both engines dispatch the same (time, seq) stream.
 func (ch *channel) armWakeup(now timing.Time) {
 	pendingWork := false
 	for _, q := range ch.queues {
@@ -1016,31 +1035,23 @@ func (ch *channel) armWakeup(now timing.Time) {
 	}
 	at := timing.Forever
 	if !ch.wideBanks {
-		// busyMask over-approximates the banks still running; prune
-		// the bits whose transactions already finished as we walk.
+		// kick pruned busyMask exact on entry and no time has passed
+		// since, so every bit is a bank with bankFree in the future.
 		for m := ch.busyMask; m != 0; m &= m - 1 {
 			i := bits.TrailingZeros64(m)
-			free := ch.bankFree[i]
-			if free <= now {
-				ch.busyMask &^= 1 << uint(i)
-				continue
-			}
-			if free < at {
+			if free := ch.bankFree[i]; free < at && ch.kickAt[i] != free {
 				at = free
 			}
 		}
 	} else {
-		for _, free := range ch.bankFree {
-			if free > now && free < at {
+		for i, free := range ch.bankFree {
+			if free > now && free < at && ch.kickAt[i] != free {
 				at = free
 			}
 		}
 	}
 	if t := ch.actAllowedAt(now); t > now && t < at {
 		at = t
-	}
-	if ch.busFreeAt > now && ch.busFreeAt < at {
-		at = ch.busFreeAt
 	}
 	if at == timing.Forever {
 		return // everything is free; nothing further will unblock by time alone

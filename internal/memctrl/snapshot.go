@@ -144,18 +144,36 @@ func (c *Controller) Snapshot(w *snapshot.Writer) error {
 // pause boundaries, read completions, channel wakeups) to pend for
 // re-scheduling. It never kicks the scheduler: the re-armed events resume
 // the exact dispatch sequence of the snapshotted run.
+//
+// Each bank's kickAt is not recorded; it is the time of the bank's
+// latest-started transaction's completion event, which is the pending
+// completion (running write or non-forwarded read) on that bank with the
+// largest sequence number — transactions on one bank start one after
+// another, and each schedules its completion as it starts.
 func (c *Controller) Restore(r *snapshot.Reader, resolve OwnerResolver, pend *[]timing.Pending) {
 	r.Section(snapSection)
 	if n := r.U32(); r.Err() == nil && int(n) != len(c.chans) {
 		r.Fail("memctrl: snapshot has %d channels, live controller %d", n, len(c.chans))
 		return
 	}
+	kickSeq := make([][]int64, len(c.chans))
+	noteKick := func(ch *channel, bank int, at timing.Time, seq int64) {
+		if ks := kickSeq[ch.id]; seq > ks[bank] {
+			ks[bank] = seq
+			ch.kickAt[bank] = at
+		}
+	}
 	for _, ch := range c.chans {
+		kickSeq[ch.id] = make([]int64, len(ch.banks))
+		for i := range ch.banks {
+			kickSeq[ch.id][i] = -1
+			ch.kickAt[i] = -1
+		}
 		cch := ch // pinned for the re-arm closures below
 		ch.draining = r.Bool()
 		ch.pausedMask, ch.pausableMask, ch.wrMask = 0, 0, 0
 		// Lazy superset: every bank starts presumed busy; the first
-		// wakeup scan prunes the finished ones.
+		// kick prunes the finished ones.
 		ch.busyMask = ch.bankMaskAll
 		ch.busFreeAt = timing.Time(r.I64())
 		ch.actIdx = int(r.U32())
@@ -206,6 +224,7 @@ func (c *Controller) Restore(r *snapshot.Reader, resolve OwnerResolver, pend *[]
 			if hasCompletion {
 				seq := r.I64()
 				at := wr.completionTime()
+				noteKick(ch, i, at, seq)
 				*pend = append(*pend, timing.Pending{At: at, Seq: seq, Arm: func() {
 					wr.completion = cch.eq.Schedule(at, wr.completeFn)
 				}})
@@ -279,6 +298,9 @@ func (c *Controller) Restore(r *snapshot.Reader, resolve OwnerResolver, pend *[]
 		req.forwarded = r.Bool()
 		at := timing.Time(r.I64())
 		seq := r.I64()
+		if !req.forwarded {
+			noteKick(c.chans[req.loc.Channel], req.loc.Bank, at, seq)
+		}
 		rr := req
 		*pend = append(*pend, timing.Pending{At: at, Seq: seq, Arm: func() {
 			c.trackFlight(rr, at, c.chans[rr.loc.Channel].eq.Schedule(at, rr.doneFn).Seq())

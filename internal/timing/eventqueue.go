@@ -11,6 +11,7 @@ type Event struct {
 
 	seq int64 // insertion order; ties at the same At run FIFO
 	idx int   // heap index, -1 when not queued
+	far bool  // queued on the far heap (see EventQueue)
 }
 
 // EventRef is a cancellation handle for a scheduled event. The zero
@@ -50,16 +51,29 @@ type clock struct {
 	seq int64
 }
 
-// EventQueue is a deterministic min-heap of events. Events scheduled for
-// the same instant fire in the order they were scheduled, which keeps
-// simulations reproducible regardless of map iteration or goroutine
-// scheduling (event dispatch is serialized even under a ShardSet).
+// EventQueue is a deterministic priority queue of events. Events
+// scheduled for the same instant fire in the order they were scheduled,
+// which keeps simulations reproducible regardless of map iteration or
+// goroutine scheduling (event dispatch is serialized even under a
+// ShardSet).
+//
+// Pending events live in two 4-ary heaps. An event due at least
+// farHorizon past Now when it is scheduled goes on the far heap, every
+// other event on the near heap; dispatch takes the earlier of the two
+// heads by (At, seq), so the split changes no dispatch order. Events
+// never migrate between the heaps. The point is sift depth: a running
+// simulation keeps a few dozen near events (completions, core steps,
+// channel wakeups, all within a few microseconds) next to well over a
+// thousand dormant retention, decay and patrol timers that sit
+// milliseconds out, and only the near heap is touched on almost every
+// pop.
 //
 // Fired and cancelled events are kept on an internal free list and
 // reused by later Schedule calls, so a steady-state simulation
 // schedules millions of events without allocating.
 type EventQueue struct {
-	h    []*Event
+	near eventHeap
+	far  eventHeap
 	free []*Event
 	ck   *clock
 
@@ -82,6 +96,13 @@ type EventQueue struct {
 	dirty bool
 }
 
+// farHorizon splits the two heaps. Near work (bank transactions, bus
+// transfers, core steps, wakeups) is scheduled at most a few
+// microseconds ahead; retention, decay and patrol timers at least a
+// millisecond ahead. Any value between the two classes yields the same
+// split.
+const farHorizon = 100 * Microsecond
+
 // NewEventQueue returns an empty queue whose clock starts at 0.
 func NewEventQueue() *EventQueue {
 	return &EventQueue{ck: &clock{}}
@@ -92,7 +113,7 @@ func NewEventQueue() *EventQueue {
 func (q *EventQueue) Now() Time { return q.ck.now }
 
 // Len returns the number of pending events.
-func (q *EventQueue) Len() int { return len(q.h) }
+func (q *EventQueue) Len() int { return len(q.near) + len(q.far) }
 
 // Schedule enqueues fn to run at time at. Scheduling in the past (before
 // Now) is a programming error and panics, since it would silently reorder
@@ -111,9 +132,11 @@ func (q *EventQueue) Schedule(at Time, fn func(now Time)) EventRef {
 	}
 	ev.At, ev.Do, ev.seq = at, fn, q.ck.seq
 	q.ck.seq++
-	ev.idx = len(q.h)
-	q.h = append(q.h, ev)
-	q.siftUp(ev.idx)
+	if ev.far = at-q.ck.now >= farHorizon; ev.far {
+		q.far.push(ev)
+	} else {
+		q.near.push(ev)
+	}
 	q.dirty = true
 	if s := q.set; s != nil && s.active >= 0 && q.shard != s.active &&
 		(at < s.limAt || (at == s.limAt && ev.seq < s.limSeq)) {
@@ -131,19 +154,23 @@ func (q *EventQueue) Schedule(at Time, fn func(now Time)) EventRef {
 // snapshot: the restored components re-schedule their pending events
 // onto the emptied queue (see Pending).
 func (q *EventQueue) Reset(now Time) {
-	for _, ev := range q.h {
-		q.recycle(ev)
-	}
-	for i := range q.h {
-		q.h[i] = nil
-	}
-	q.h = q.h[:0]
+	q.discard(&q.near)
+	q.discard(&q.far)
 	for _, t := range q.timers {
 		t.At = Forever
 	}
 	q.dirty = true
 	q.ck.seq = 0
 	q.ck.now = now
+}
+
+// discard recycles every event of h and empties it.
+func (q *EventQueue) discard(h *eventHeap) {
+	for i, ev := range *h {
+		q.recycle(ev)
+		(*h)[i] = nil
+	}
+	*h = (*h)[:0]
 }
 
 // After enqueues fn to run d after the current time.
@@ -158,16 +185,10 @@ func (q *EventQueue) Cancel(ref EventRef) {
 	if ev == nil || ev.seq != ref.seq || ev.idx < 0 {
 		return
 	}
-	i := ev.idx
-	last := len(q.h) - 1
-	q.h[i] = q.h[last]
-	q.h[i].idx = i
-	q.h[last] = nil
-	q.h = q.h[:last]
-	if i < last {
-		if !q.siftDown(i) {
-			q.siftUp(i)
-		}
+	if ev.far {
+		q.far.remove(ev.idx)
+	} else {
+		q.near.remove(ev.idx)
 	}
 	q.dirty = true
 	q.recycle(ev)
@@ -180,18 +201,25 @@ func (q *EventQueue) recycle(ev *Event) {
 	q.free = append(q.free, ev)
 }
 
+// head returns the heap holding the earliest pending event, or nil
+// when both heaps are empty.
+func (q *EventQueue) head() *eventHeap {
+	if len(q.far) == 0 {
+		if len(q.near) == 0 {
+			return nil
+		}
+		return &q.near
+	}
+	if len(q.near) == 0 || before(q.far[0], q.near[0]) {
+		return &q.far
+	}
+	return &q.near
+}
+
 // PeekTime returns the time of the earliest pending event or armed
 // timer, or Forever if the queue is idle.
 func (q *EventQueue) PeekTime() Time {
-	at := Forever
-	if len(q.h) > 0 {
-		at = q.h[0].At
-	}
-	for _, t := range q.timers {
-		if t.At < at {
-			at = t.At
-		}
-	}
+	at, _ := q.headKey()
 	return at
 }
 
@@ -201,8 +229,8 @@ func (q *EventQueue) PeekTime() Time {
 // exactly as the equivalent Scheduled event would.
 func (q *EventQueue) headKey() (Time, int64) {
 	at, seq := Forever, int64(1<<62)
-	if len(q.h) > 0 {
-		at, seq = q.h[0].At, q.h[0].seq
+	if h := q.head(); h != nil {
+		at, seq = (*h)[0].At, (*h)[0].seq
 	}
 	for _, t := range q.timers {
 		if t.At < at || (t.At == at && t.seq < seq) {
@@ -217,13 +245,14 @@ func (q *EventQueue) headKey() (Time, int64) {
 // ordering bound — the earliest (time, seq) owned by any other shard,
 // re-read every iteration because the batch's own cross-shard
 // scheduling tightens it in place. It is the batch loop of ShardSet;
-// living here lets each iteration peek the heap head and timer slots
+// living here lets each iteration peek the heap heads and timer slots
 // exactly once instead of once in headKey and again in dispatchKey.
 func (q *EventQueue) runWindow(s *ShardSet, windowEnd Time) {
 	for {
 		at, seq := Forever, int64(1<<62)
-		if len(q.h) > 0 {
-			at, seq = q.h[0].At, q.h[0].seq
+		h := q.head()
+		if h != nil {
+			at, seq = (*h)[0].At, (*h)[0].seq
 		}
 		var timer *Timer
 		for _, t := range q.timers {
@@ -241,7 +270,7 @@ func (q *EventQueue) runWindow(s *ShardSet, windowEnd Time) {
 			q.ck.now = at
 			timer.fn(at)
 		} else {
-			q.Step()
+			q.dispatch(h)
 		}
 	}
 }
@@ -250,20 +279,18 @@ func (q *EventQueue) runWindow(s *ShardSet, windowEnd Time) {
 // to its time. It reports whether an event was dispatched. (Timer slots
 // are dispatched by ShardSet via headKey/stepHead, never by Step.)
 func (q *EventQueue) Step() bool {
-	if len(q.h) == 0 {
+	h := q.head()
+	if h == nil {
 		return false
 	}
-	ev := q.h[0]
-	last := len(q.h) - 1
-	q.h[0] = q.h[last]
-	q.h[0].idx = 0
-	q.h[last] = nil
-	q.h = q.h[:last]
-	if last > 0 {
-		q.siftDown(0)
-	}
+	q.dispatch(h)
+	return true
+}
+
+// dispatch pops the head of h and runs it.
+func (q *EventQueue) dispatch(h *eventHeap) {
+	ev := h.pop()
 	q.dirty = true
-	ev.idx = -1
 	q.ck.now = ev.At
 	do := ev.Do
 	// Recycle before dispatch: the callback may Schedule, and reusing
@@ -271,14 +298,13 @@ func (q *EventQueue) Step() bool {
 	// sequence number no longer matches.
 	q.recycle(ev)
 	do(q.ck.now)
-	return true
 }
 
 // RunUntil dispatches events in order until the next event would be after
 // deadline or the queue drains, then advances the clock to deadline.
 func (q *EventQueue) RunUntil(deadline Time) {
-	for len(q.h) > 0 && q.h[0].At <= deadline {
-		q.Step()
+	for h := q.head(); h != nil && (*h)[0].At <= deadline; h = q.head() {
+		q.dispatch(h)
 	}
 	if q.ck.now < deadline {
 		q.ck.now = deadline
@@ -353,25 +379,60 @@ func (t *Timer) Disarm() {
 // Armed reports whether the timer holds a live deadline.
 func (t *Timer) Armed() bool { return t.At != Forever }
 
-// less orders the heap by time, then schedule order.
-func (q *EventQueue) less(a, b *Event) bool {
+// eventHeap is a 4-ary min-heap of events ordered by (At, seq). The
+// arity halves the depth of a binary heap, so the pop-heavy dispatch
+// loop does fewer cache-missing levels per sift; it changes only the
+// internal shape — pops still deliver strict (At, seq) order. Each
+// event's idx tracks its slot for O(log n) removal.
+type eventHeap []*Event
+
+// before orders events by time, then schedule order.
+func before(a, b *Event) bool {
 	if a.At != b.At {
 		return a.At < b.At
 	}
 	return a.seq < b.seq
 }
 
-// The heap is 4-ary: half the depth of a binary heap, so the pop-heavy
-// dispatch loop does fewer cache-missing levels per sift. Arity changes
-// only the internal shape — pops still deliver strict (At, seq) order.
+func (h *eventHeap) push(ev *Event) {
+	ev.idx = len(*h)
+	*h = append(*h, ev)
+	h.siftUp(ev.idx)
+}
+
+// pop removes and returns the earliest event.
+func (h *eventHeap) pop() *Event {
+	s := *h
+	ev := s[0]
+	last := len(s) - 1
+	s[0] = s[last]
+	s[last] = nil
+	*h = s[:last]
+	if last > 0 {
+		s[:last].siftDown(0)
+	}
+	return ev
+}
+
+// remove deletes the event at index i.
+func (h *eventHeap) remove(i int) {
+	s := *h
+	last := len(s) - 1
+	s[i] = s[last]
+	s[i].idx = i
+	s[last] = nil
+	*h = s[:last]
+	if i < last && !h.siftDown(i) {
+		h.siftUp(i)
+	}
+}
 
 // siftUp restores the heap property from index i toward the root.
-func (q *EventQueue) siftUp(i int) {
-	h := q.h
+func (h eventHeap) siftUp(i int) {
 	ev := h[i]
 	for i > 0 {
 		parent := (i - 1) / 4
-		if !q.less(ev, h[parent]) {
+		if !before(ev, h[parent]) {
 			break
 		}
 		h[i] = h[parent]
@@ -384,8 +445,7 @@ func (q *EventQueue) siftUp(i int) {
 
 // siftDown restores the heap property from index i toward the leaves,
 // reporting whether the event moved.
-func (q *EventQueue) siftDown(i int) bool {
-	h := q.h
+func (h eventHeap) siftDown(i int) bool {
 	n := len(h)
 	ev := h[i]
 	start := i
@@ -399,11 +459,11 @@ func (q *EventQueue) siftDown(i int) bool {
 			end = n
 		}
 		for c := child + 1; c < end; c++ {
-			if q.less(h[c], h[child]) {
+			if before(h[c], h[child]) {
 				child = c
 			}
 		}
-		if !q.less(h[child], ev) {
+		if !before(h[child], ev) {
 			break
 		}
 		h[i] = h[child]
