@@ -29,7 +29,9 @@ import (
 // warmHashVersion guards the warm-key space: bump it whenever the
 // snapshot encoding or the simulation's warmup behavior changes, so
 // stale disk snapshots from older builds stop matching.
-const warmHashVersion = "rrmpcm-warm-v4" // v4: sim snapshot format 4 (shard-mailbox section)
+// History: v4 sim snapshot format 4 (shard-mailbox section); v5 sim
+// snapshot format 5 (no per-region wear list).
+const warmHashVersion = "rrmpcm-warm-v5"
 
 // warmImage is the warmup-relevant prefix of a config: hashImage minus
 // the knobs that only matter after the warmup boundary (Duration,

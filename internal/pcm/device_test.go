@@ -187,33 +187,6 @@ func TestWearTracker(t *testing.T) {
 	if got := w.Total(); got != 1003 {
 		t.Errorf("total = %d, want 1003", got)
 	}
-	max, touched := w.MaxRegionWear()
-	if max != 3 || touched != 1 {
-		t.Errorf("max/touched = %d/%d, want 3/1 (both addresses in region 0)", max, touched)
-	}
-}
-
-func TestWearHistogram(t *testing.T) {
-	amap, err := NewAddressMap(DefaultDeviceConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	w := NewWearTracker(amap)
-	for i := 0; i < 5; i++ { // region 0 gets 5 writes -> bucket 2^3
-		w.RecordBlockWrite(0, Mode7SETs, WearDemandWrite)
-	}
-	w.RecordBlockWrite(RegionBytes, Mode7SETs, WearDemandWrite) // region 1: 1 write -> 2^0
-	zero, buckets := w.RegionWearHistogram()
-	total := uint64(len(w.regionWear))
-	if zero != total-2 {
-		t.Errorf("zero regions = %d, want %d", zero, total-2)
-	}
-	if buckets[0] != 1 {
-		t.Errorf("bucket[0] = %d, want 1", buckets[0])
-	}
-	if buckets[3] != 1 {
-		t.Errorf("bucket[3] = %d, want 1 (5 writes rounds up to 8)", buckets[3])
-	}
 }
 
 func TestWearKindString(t *testing.T) {

@@ -7,11 +7,7 @@ const (
 	snapEnergySection = 0x5045 // "PE"
 )
 
-// Snapshot writes the wear state. The per-region array is huge (one
-// u32 per 4 KB of simulated memory: 2 M entries for the default 8 GB
-// device) but overwhelmingly zero after a warmup window, so it is
-// encoded sparsely as (index, value) pairs of the nonzero entries —
-// deterministic because the scan is in index order.
+// Snapshot writes the wear state.
 func (t *WearTracker) Snapshot(w *snapshot.Writer) {
 	w.Section(snapWearSection)
 	for _, v := range t.byKind {
@@ -23,20 +19,6 @@ func (t *WearTracker) Snapshot(w *snapshot.Writer) {
 	w.U32(uint32(len(t.bankWear)))
 	for _, v := range t.bankWear {
 		w.U64(v)
-	}
-	nonzero := uint32(0)
-	for _, v := range t.regionWear {
-		if v != 0 {
-			nonzero++
-		}
-	}
-	w.U32(uint32(len(t.regionWear)))
-	w.U32(nonzero)
-	for i, v := range t.regionWear {
-		if v != 0 {
-			w.U32(uint32(i))
-			w.U32(v)
-		}
 	}
 }
 
@@ -55,26 +37,6 @@ func (t *WearTracker) Restore(r *snapshot.Reader) {
 	}
 	for i := range t.bankWear {
 		t.bankWear[i] = r.U64()
-	}
-	if n := r.U32(); r.Err() == nil && int(n) != len(t.regionWear) {
-		r.Fail("wear: snapshot has %d regions, live tracker %d", n, len(t.regionWear))
-		return
-	}
-	for i := range t.regionWear {
-		t.regionWear[i] = 0
-	}
-	nonzero := r.Count(len(t.regionWear))
-	for i := 0; i < nonzero; i++ {
-		idx := r.U32()
-		val := r.U32()
-		if r.Err() != nil {
-			return
-		}
-		if int(idx) >= len(t.regionWear) {
-			r.Fail("wear: region index %d out of range %d", idx, len(t.regionWear))
-			return
-		}
-		t.regionWear[idx] = val
 	}
 }
 

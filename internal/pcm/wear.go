@@ -49,44 +49,27 @@ func WearKinds() []WearKind {
 	return []WearKind{WearDemandWrite, WearRRMRefresh, WearSlowRefresh, WearGlobalRefresh}
 }
 
-// WearTracker accumulates block-write counts at 4 KB region granularity,
-// split by cause and write mode, plus per-bank totals. Region granularity
-// keeps the footprint at 4 B per 4 KB of simulated memory (8 MB for the
-// default 8 GB device) while still exposing hotspot structure.
+// WearTracker accumulates block-write counts split by cause and write
+// mode, plus per-bank totals.
 type WearTracker struct {
 	amap *AddressMap
-
-	regionShift uint
-	regionWear  []uint32
 
 	byKind   [numWearKinds]uint64
 	byMode   [Slowest - Fastest + 1]uint64
 	bankWear []uint64
 }
 
-// RegionBytes is the wear-tracking granularity; it matches the paper's
-// 4 KB Retention Region / OS page size.
-const RegionBytes = 4 << 10
-
 // NewWearTracker allocates tracking state for the mapped device.
 func NewWearTracker(amap *AddressMap) *WearTracker {
-	cfg := amap.Config()
-	t := &WearTracker{
-		amap:        amap,
-		regionShift: 12, // log2(RegionBytes)
-		regionWear:  make([]uint32, cfg.MemBytes/RegionBytes),
-		bankWear:    make([]uint64, cfg.TotalBanks()),
+	return &WearTracker{
+		amap:     amap,
+		bankWear: make([]uint64, amap.Config().TotalBanks()),
 	}
-	return t
 }
 
 // RecordBlockWrite charges one wear unit for a block write at byte address
 // addr, caused by kind, using write mode m.
 func (t *WearTracker) RecordBlockWrite(addr uint64, m WriteMode, kind WearKind) {
-	region := (addr & (t.amap.Config().MemBytes - 1)) >> t.regionShift
-	if t.regionWear[region] != ^uint32(0) {
-		t.regionWear[region]++
-	}
 	t.byKind[kind]++
 	t.byMode[m-Fastest]++
 	t.bankWear[t.amap.Decode(addr).GlobalBank(t.amap.Config())]++
@@ -120,39 +103,4 @@ func (t *WearTracker) BankWear() []uint64 {
 	out := make([]uint64, len(t.bankWear))
 	copy(out, t.bankWear)
 	return out
-}
-
-// RegionWearHistogram buckets the per-region address-attributed wear
-// counts: returns (number of regions with zero wear, and for each power of
-// two ceiling the count of regions whose wear falls in (2^(k-1), 2^k]).
-func (t *WearTracker) RegionWearHistogram() (zero uint64, buckets [33]uint64) {
-	for _, w := range t.regionWear {
-		if w == 0 {
-			zero++
-			continue
-		}
-		k := 0
-		for v := uint64(w); v > 1; v >>= 1 {
-			k++
-		}
-		if uint64(1)<<k < uint64(w) {
-			k++
-		}
-		buckets[k]++
-	}
-	return zero, buckets
-}
-
-// MaxRegionWear returns the largest per-region wear count and how many
-// regions were written at all.
-func (t *WearTracker) MaxRegionWear() (max uint32, touched uint64) {
-	for _, w := range t.regionWear {
-		if w > 0 {
-			touched++
-			if w > max {
-				max = w
-			}
-		}
-	}
-	return max, touched
 }

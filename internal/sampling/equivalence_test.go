@@ -4,7 +4,13 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
+	"fmt"
+	"runtime"
+	"strings"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"rrmpcm/internal/sim"
 	"rrmpcm/internal/snapshot"
@@ -182,30 +188,151 @@ func TestSkipForwardEquivalence(t *testing.T) {
 
 // TestSampledRunDeterministicAcrossParallelism: window results merge by
 // index, so the full metrics document — means, intervals, every counter
-// — must be byte-identical at any parallelism level.
+// — must be byte-identical at any parallelism level. Forks start while
+// the producer pass is still running, so at parallel > 1 the 8-window
+// strided case restores and measures early windows concurrently with
+// the skips and fast-forwards that produce later ones.
 func TestSampledRunDeterministicAcrossParallelism(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		spec     sim.SamplingSpec
+		parallel []int
+	}{
+		{"4-windows", sim.SamplingSpec{
+			Windows:      4,
+			Window:       25 * timing.Microsecond,
+			DetailWarmup: 10 * timing.Microsecond,
+		}, []int{2, 4, 8}},
+		{"8-windows-stride-4", sim.SamplingSpec{
+			Windows:      8,
+			Window:       25 * timing.Microsecond,
+			DetailWarmup: 10 * timing.Microsecond,
+			FFStride:     4,
+		}, []int{2, 3, 8}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := fastConfig(t)
+			cfg.Sampling = &tc.spec
+			run := func(parallel int) []byte {
+				m, err := RunParallel(context.Background(), cfg, parallel)
+				if err != nil {
+					t.Fatalf("parallel=%d: %v", parallel, err)
+				}
+				blob, err := json.Marshal(m)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return blob
+			}
+			serial := run(1)
+			for _, p := range tc.parallel {
+				if got := run(p); !bytes.Equal(serial, got) {
+					t.Fatalf("sampled metrics differ between parallel=1 and parallel=%d", p)
+				}
+			}
+		})
+	}
+}
+
+// pollCancelCtx counts the producer pass's polls of ctx.Err (the
+// simulator polls once per run slice) and cancels itself on the at-th
+// (never if at is 0). Window forks poll the same context, so polls are
+// attributed by call stack; counting only the producer's places the
+// cancellation at a fixed point of its pass at any parallelism.
+type pollCancelCtx struct {
+	context.Context
+	cancel      context.CancelFunc
+	at          int64
+	polls       atomic.Int64
+	cancelledAt atomic.Int64 // UnixNano of the cancel
+}
+
+func newPollCancelCtx(at int64) *pollCancelCtx {
+	ctx, cancel := context.WithCancel(context.Background())
+	return &pollCancelCtx{Context: ctx, cancel: cancel, at: at}
+}
+
+func (c *pollCancelCtx) Err() error {
+	if fromProducer() && c.polls.Add(1) == c.at {
+		c.cancelledAt.Store(time.Now().UnixNano())
+		c.cancel()
+	}
+	return c.Context.Err()
+}
+
+// fromProducer reports whether the caller runs inside the producer pass.
+func fromProducer() bool {
+	pc := make([]uintptr, 64)
+	frames := runtime.CallersFrames(pc[:runtime.Callers(3, pc)])
+	for {
+		f, more := frames.Next()
+		if strings.HasSuffix(f.Function, "sampling.produce") {
+			return true
+		}
+		if !more {
+			return false
+		}
+	}
+}
+
+// TestSampledRunCancelDuringProducer: cancelling the caller's context
+// halfway through the producer pass — after some window forks have been
+// launched, before the rest exist — must make RunParallel return the
+// context's error promptly, without deadlocking on the producer's slot
+// at parallel=1 and without leaking a fork goroutine.
+func TestSampledRunCancelDuringProducer(t *testing.T) {
 	cfg := fastConfig(t)
 	cfg.Sampling = &sim.SamplingSpec{
-		Windows:      4,
+		Windows:      8,
 		Window:       25 * timing.Microsecond,
 		DetailWarmup: 10 * timing.Microsecond,
+		FFStride:     4,
 	}
-	run := func(parallel int) []byte {
-		m, err := RunParallel(context.Background(), cfg, parallel)
-		if err != nil {
-			t.Fatalf("parallel=%d: %v", parallel, err)
-		}
-		blob, err := json.Marshal(m)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return blob
-	}
-	serial := run(1)
-	for _, p := range []int{2, 4, 8} {
-		if got := run(p); !bytes.Equal(serial, got) {
-			t.Fatalf("sampled metrics differ between parallel=1 and parallel=%d", p)
-		}
+	for _, parallel := range []int{1, 2} {
+		t.Run(fmt.Sprintf("parallel=%d", parallel), func(t *testing.T) {
+			// An uncancelled run counts the producer's polls and sets
+			// the time budget: a cancelled run must finish inside it.
+			count := newPollCancelCtx(0)
+			start := time.Now()
+			if _, err := RunParallel(count, cfg, parallel); err != nil {
+				t.Fatal(err)
+			}
+			full := time.Since(start)
+			polls := count.polls.Load()
+			if polls < 4 {
+				t.Fatalf("producer polled its context %d times; too few to cancel mid-pass", polls)
+			}
+
+			baseline := runtime.NumGoroutine()
+			ctx := newPollCancelCtx(polls / 2)
+			done := make(chan error, 1)
+			go func() {
+				_, err := RunParallel(ctx, cfg, parallel)
+				done <- err
+			}()
+			var err error
+			select {
+			case err = <-done:
+			case <-time.After(full + 10*time.Second):
+				t.Fatal("RunParallel did not return after cancellation (deadlock?)")
+			}
+			if ctx.cancelledAt.Load() == 0 {
+				t.Fatal("run finished without reaching the cancellation point")
+			}
+			if !errors.Is(err, context.Canceled) {
+				t.Fatalf("err = %v, want the context's error", err)
+			}
+			if late := time.Since(time.Unix(0, ctx.cancelledAt.Load())); late > full {
+				t.Errorf("returned %v after cancellation; a whole run takes %v", late, full)
+			}
+			deadline := time.Now().Add(5 * time.Second)
+			for runtime.NumGoroutine() > baseline {
+				if time.Now().After(deadline) {
+					t.Fatalf("%d goroutines after the cancelled run, %d before", runtime.NumGoroutine(), baseline)
+				}
+				time.Sleep(time.Millisecond)
+			}
+		})
 	}
 }
 

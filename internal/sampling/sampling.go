@@ -9,12 +9,13 @@
 // (sim.System.FastForward: functional-only mode — caches, RRM tables,
 // wear/retention/reliability state advance; FR-FCFS scheduling, event
 // latencies and the reliability read path are skipped) between them.
-// Each snapshot is then restored into a fresh fork, pre-rolled for
-// DetailWarmup of detailed-but-discarded simulation to rebuild queue and
-// row-buffer state, and measured for Window. Forks are independent
-// systems, so windows execute in parallel across GOMAXPROCS goroutines;
-// results merge by window index, so any parallelism level produces
-// byte-identical metrics.
+// Each snapshot is restored into a fresh fork as soon as it is written,
+// pre-rolled for DetailWarmup of detailed-but-discarded simulation to
+// rebuild queue and row-buffer state, and measured for Window. Forks are
+// independent systems, so windows execute in parallel with the rest of
+// the producer pass and with each other, GOMAXPROCS at a time counting
+// the producer; results merge by window index, so any parallelism level
+// produces byte-identical metrics.
 //
 // The error model is the SMARTS one: window means are treated as i.i.d.
 // samples of the run mean and summarized with two-sided 95% Student-t
@@ -65,20 +66,64 @@ func Run(ctx context.Context, cfg sim.Config) (sim.Metrics, error) {
 
 // RunParallel is Run with an explicit window-parallelism bound
 // (<= 0 means GOMAXPROCS). The result is identical at any bound.
+//
+// The schedule is pipelined: window i's fork starts as soon as the
+// producer pass has written snapshot i, not after the whole pass. The
+// producer holds one of the parallel slots for its pass, so forks take
+// the free slots while it runs and every slot once it ends; at
+// parallel=1 the work runs in the serial order.
 func RunParallel(ctx context.Context, cfg sim.Config, parallel int) (sim.Metrics, error) {
 	sp := cfg.Sampling
 	if sp == nil {
 		return sim.Metrics{}, fmt.Errorf("sampling: config has no sampling spec")
 	}
-	sys, err := sim.New(cfg)
+	sys, err := sim.New(cfg) // validates the sampling spec
 	if err != nil {
 		return sim.Metrics{}, err
 	}
-	// The snapshot-producing run is abandoned after the last snapshot
-	// (it never Measures); release its shard workers explicitly.
+	if parallel <= 0 {
+		parallel = runtime.GOMAXPROCS(0)
+	}
+	ms := make([]sim.Metrics, sp.Windows)
+	errs := make([]error, sp.Windows)
+	sem := make(chan struct{}, parallel)
+	var wg sync.WaitGroup
+	sem <- struct{}{} // the producer's slot
+	err = produce(ctx, cfg, sys, func(i int, blob []byte) {
+		wg.Add(1)
+		// blob is an argument, not a capture, so it is garbage as soon
+		// as the fork has restored it.
+		go func(i int, blob []byte) {
+			defer wg.Done()
+			sem <- struct{}{}
+			defer func() { <-sem }()
+			ms[i], errs[i] = measureWindow(ctx, cfg, blob)
+		}(i, blob)
+	})
+	<-sem
+	wg.Wait()
+	if err != nil {
+		return sim.Metrics{}, err
+	}
+	for i, err := range errs {
+		if err != nil {
+			return sim.Metrics{}, fmt.Errorf("sampling: window %d: %w", i, err)
+		}
+	}
+	return aggregate(cfg, ms), nil
+}
+
+// produce is the snapshot-producing pass over sys, a fresh System for
+// cfg: it simulates the configured warmup in full detail, then walks the
+// measured duration once, handing each of the Windows segment-start
+// snapshots to emit as soon as it is written. It closes sys on return
+// (the producer never Measures, so its shard workers are released
+// explicitly); the caller drops it, so it is garbage from then on.
+func produce(ctx context.Context, cfg sim.Config, sys *sim.System, emit func(i int, blob []byte)) error {
+	sp := cfg.Sampling
 	defer sys.Close()
 	if err := sys.Warmup(ctx); err != nil {
-		return sim.Metrics{}, err
+		return err
 	}
 
 	// One pass over the duration: snapshot each segment start, functional
@@ -100,12 +145,13 @@ func RunParallel(ctx context.Context, cfg sim.Config, parallel int) (sim.Metrics
 	n := sp.Windows
 	seg := cfg.Duration / timing.Time(n)
 	probe := sp.DetailWarmup
-	blobs := make([][]byte, n)
 	var lastFFRate float64
 	for i := 0; i < n; i++ {
-		if blobs[i], err = sys.Snapshot(); err != nil {
-			return sim.Metrics{}, fmt.Errorf("sampling: window %d snapshot: %w", i, err)
+		blob, err := sys.Snapshot()
+		if err != nil {
+			return fmt.Errorf("sampling: window %d snapshot: %w", i, err)
 		}
+		emit(i, blob)
 		if i == n-1 {
 			break
 		}
@@ -113,7 +159,7 @@ func RunParallel(ctx context.Context, cfg sim.Config, parallel int) (sim.Metrics
 		if probe > 0 {
 			before := sys.Instructions()
 			if err := sys.Advance(ctx, probe); err != nil {
-				return sim.Metrics{}, fmt.Errorf("sampling: probe for window %d: %w", i+1, err)
+				return fmt.Errorf("sampling: probe for window %d: %w", i+1, err)
 			}
 			detailRate := float64(sys.Instructions()-before) / probe.Seconds()
 			if lastFFRate > 0 && detailRate > 0 {
@@ -136,43 +182,24 @@ func RunParallel(ctx context.Context, cfg sim.Config, parallel int) (sim.Metrics
 		}
 		warm := gap / timing.Time(sp.Stride())
 		if err := sys.SkipForward(ctx, gap-warm); err != nil {
-			return sim.Metrics{}, fmt.Errorf("sampling: skip to window %d: %w", i+1, err)
+			return fmt.Errorf("sampling: skip to window %d: %w", i+1, err)
 		}
 		if err := sys.FastForward(ctx, warm); err != nil {
-			return sim.Metrics{}, fmt.Errorf("sampling: fast-forward to window %d: %w", i+1, err)
+			return fmt.Errorf("sampling: fast-forward to window %d: %w", i+1, err)
 		}
 		if r := sys.FunctionalRate(); r > 0 {
 			lastFFRate = r
 		}
 	}
-
-	if parallel <= 0 {
-		parallel = runtime.GOMAXPROCS(0)
-	}
-	ms := make([]sim.Metrics, n)
-	errs := make([]error, n)
-	sem := make(chan struct{}, parallel)
-	var wg sync.WaitGroup
-	for i := range blobs {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			ms[i], errs[i] = measureWindow(ctx, cfg, blobs[i])
-		}(i)
-	}
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			return sim.Metrics{}, fmt.Errorf("sampling: window %d: %w", i, err)
-		}
-	}
-	return aggregate(cfg, ms), nil
+	return nil
 }
 
 // measureWindow forks one detailed measurement window from a snapshot.
 func measureWindow(ctx context.Context, cfg sim.Config, blob []byte) (sim.Metrics, error) {
+	if err := ctx.Err(); err != nil {
+		// Cancelled while waiting for a slot: skip the build and restore.
+		return sim.Metrics{}, err
+	}
 	fork, err := sim.New(cfg)
 	if err != nil {
 		return sim.Metrics{}, err

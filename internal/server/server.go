@@ -32,6 +32,7 @@ package server
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"path/filepath"
@@ -402,12 +403,22 @@ func buildConfig(traceDir string, req SubmitRequest) (sim.Config, error) {
 	return opt.SimConfig(scheme, w), nil
 }
 
+// maxSubmitBytes bounds a submission body. A full sim.Config document
+// is a few KiB; anything near this limit is not a simulation request.
+const maxSubmitBytes = 1 << 20
+
 // handleSubmit implements idempotent submission with backpressure.
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var req SubmitRequest
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSubmitBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			writeError(w, http.StatusRequestEntityTooLarge,
+				fmt.Sprintf("request body exceeds %d bytes", tooBig.Limit))
+			return
+		}
 		writeError(w, http.StatusBadRequest, fmt.Sprintf("decoding request: %v", err))
 		return
 	}

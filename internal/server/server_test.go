@@ -181,6 +181,34 @@ func TestSubmitValidation(t *testing.T) {
 	}
 }
 
+// TestSubmitBodyTooLarge: a submission body past the 1 MiB limit is
+// refused with 413 before it is decoded in full, and queues nothing.
+func TestSubmitBodyTooLarge(t *testing.T) {
+	var ran atomic.Int64
+	srv, _ := newTestServer(t, Options{Sim: countingSim(&ran, instantSim)})
+	body := `{"scheme":"static-7","workload":"GemsFDTD","label":"` +
+		strings.Repeat("x", 2<<20) + `"}`
+	rec := httptest.NewRecorder()
+	srv.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/api/v1/jobs", strings.NewReader(body)))
+	if rec.Code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("2 MiB submit: status %d, want 413 (%s)", rec.Code, rec.Body)
+	}
+	var e map[string]string
+	if err := json.Unmarshal(rec.Body.Bytes(), &e); err != nil || e["error"] == "" {
+		t.Errorf("413 body %q has no error message", rec.Body)
+	}
+	if n := srv.QueueDepth(); n != 0 || ran.Load() != 0 {
+		t.Errorf("oversized submit left %d queued, %d run", n, ran.Load())
+	}
+	// An ordinary body through the same handler is still accepted.
+	small := `{"scheme":"static-7","workload":"GemsFDTD","quick":true}`
+	rec = httptest.NewRecorder()
+	srv.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/api/v1/jobs", strings.NewReader(small)))
+	if rec.Code != http.StatusAccepted {
+		t.Errorf("small submit: status %d, want 202 (%s)", rec.Code, rec.Body)
+	}
+}
+
 // TestIdempotentResubmission: an identical config resubmitted to a
 // live server returns the existing job without a second simulation.
 func TestIdempotentResubmission(t *testing.T) {

@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"math"
+	"runtime"
 	"testing"
 
 	"rrmpcm/internal/core"
@@ -395,4 +397,35 @@ func TestRefreshRateBookkeepingUnderTimeScale(t *testing.T) {
 	if a.WearGlobalRate != b.WearGlobalRate {
 		t.Error("global refresh rate depends on K")
 	}
+}
+
+// TestNewAllocBudget: building the default RRM GemsFDTD system must stay
+// cheap. Every sampled window fork and every detailed run pays for New,
+// so a dense per-address array (one entry per 4 KB region of the 8 GB
+// device is 8 MiB) must not creep back in unnoticed.
+func TestNewAllocBudget(t *testing.T) {
+	const budget = 4 << 20
+	w, err := trace.WorkloadByName("GemsFDTD")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := DefaultConfig(RRMScheme(), w)
+	// The least of a few trials: a stray allocation elsewhere in the
+	// process can only inflate one.
+	least := uint64(math.MaxUint64)
+	for i := 0; i < 3; i++ {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		sys, err := New(cfg)
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sys.Close()
+		least = min(least, after.TotalAlloc-before.TotalAlloc)
+	}
+	if least >= budget {
+		t.Errorf("sim.New allocated %.1f MiB, budget %.1f MiB", float64(least)/(1<<20), float64(budget)/(1<<20))
+	}
+	t.Logf("sim.New allocates %.2f MiB", float64(least)/(1<<20))
 }

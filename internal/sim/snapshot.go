@@ -23,11 +23,14 @@ import (
 // v4 adds the shard-mailbox section (and the controller wakeup record
 // may now describe a timer slot — same bytes, same (time, seq)
 // position, whichever engine wrote it).
+// v5 drops the per-region wear list from the wear section (the
+// per-4-KB-region wear array it encoded is gone; wear keeps its
+// per-kind, per-mode and per-bank counts).
 // engine.warmHashVersion was bumped alongside each, so older blobs are
 // never looked up, let alone misparsed.
 const (
 	sysSnapMagic   uint32 = 0x52524D53 // "RRMS"
-	sysSnapVersion uint16 = 4
+	sysSnapVersion uint16 = 5
 )
 
 // Snapshot serializes a warmed system (after Warmup, before Measure).
@@ -41,7 +44,7 @@ func (s *System) Snapshot() ([]byte, error) {
 	if s.cfg.Scheme.Kind == SchemeCustom {
 		return nil, fmt.Errorf("sim: custom schemes cannot be snapshotted")
 	}
-	w := snapshot.NewWriter(1 << 20)
+	w := snapshot.NewWriter(max(1<<20, s.snapCap))
 	w.Header(sysSnapMagic, sysSnapVersion)
 	w.I64(int64(s.eq.Now()))
 	// Shard-mailbox section (v4): the count of in-transit cross-shard
@@ -100,7 +103,9 @@ func (s *System) Snapshot() ([]byte, error) {
 		w.I64(int64(s.patrolAt))
 		w.I64(s.patrolSeq)
 	}
-	return w.Finish(), nil
+	blob := w.Finish()
+	s.snapCap = len(blob) + len(blob)/8
+	return blob, nil
 }
 
 // Restore loads a Snapshot blob into a freshly built System, leaving it

@@ -50,6 +50,11 @@ type System struct {
 	// count and span, feeding the sampler's rate-matching feedback loop.
 	ffInsts uint64
 	ffSpan  timing.Time
+	// snapCap sizes the next Snapshot's buffer from the previous blob,
+	// so a system snapshotted repeatedly (the sampler's producer pass)
+	// writes each ~2 MiB blob into one allocation instead of growing it
+	// by append through four.
+	snapCap int
 
 	// eq is shard 0's queue (the core domain) — and, when set is nil,
 	// the single global queue of the serial engine. All queues of a set
