@@ -113,14 +113,6 @@ type Core struct {
 
 	stepFn  func(timing.Time) // bound once: step (avoids a closure per arm)
 	tokFree []*missToken      // recycled miss-completion tokens
-
-	// fast selects the sharded engine's step bookkeeping: the recurring
-	// step event lives in a timer slot instead of the heap. A step is
-	// never cancelled and at most one is pending, and Timer.Arm draws a
-	// sequence number exactly like Schedule, so the dispatch order (and
-	// the (stepAt, stepSeq) snapshot record) is identical either way.
-	fast  bool
-	timer *timing.Timer
 }
 
 // missToken carries one outstanding miss's completion context. Tokens
@@ -248,22 +240,7 @@ func (c *Core) armStep(at timing.Time) {
 func (c *Core) scheduleStep(at timing.Time) {
 	c.stepArmed = true
 	c.stepAt = at
-	if c.fast {
-		c.timer.Arm(c.eq, at)
-		c.stepSeq = c.timer.Seq()
-		return
-	}
 	c.stepSeq = c.eq.Schedule(at, c.stepFn).Seq()
-}
-
-// UseTimerStep switches the core's self-scheduling to a timer slot on
-// its queue (the sharded engine; standalone queues never dispatch
-// timers). Must be called before Start. Arm draws its sequence number
-// exactly as Schedule would, so the step fires in the same (time, seq)
-// position on either engine.
-func (c *Core) UseTimerStep() {
-	c.fast = true
-	c.timer = c.eq.NewTimer(c.stepFn)
 }
 
 // MissCallback mints the completion callback of an outstanding miss

@@ -30,8 +30,9 @@ import (
 // snapshot encoding or the simulation's warmup behavior changes, so
 // stale disk snapshots from older builds stop matching.
 // History: v4 sim snapshot format 4 (shard-mailbox section); v5 sim
-// snapshot format 5 (no per-region wear list).
-const warmHashVersion = "rrmpcm-warm-v5"
+// snapshot format 5 (no per-region wear list); v6 sim snapshot format 6
+// (no shard-mailbox section).
+const warmHashVersion = "rrmpcm-warm-v6"
 
 // warmImage is the warmup-relevant prefix of a config: hashImage minus
 // the knobs that only matter after the warmup boundary (Duration,

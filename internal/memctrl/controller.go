@@ -70,28 +70,6 @@ func New(cfg Config, amap *pcm.AddressMap, eq *timing.EventQueue, rec Recorder) 
 // Config returns the controller configuration.
 func (c *Controller) Config() Config { return c.cfg }
 
-// SetShardQueues switches the controller to the sharded execution
-// engine: channel i schedules its events (completions, pauses, space
-// deliveries) on qs[i] — several channels may share one queue when a
-// shard covers more than one channel — and replaces the armWakeup
-// re-scan with an incremental per-channel timer slot: the scheduler
-// scans record the earliest instant any blocked request could start,
-// and the wakeup is re-aimed with a single store instead of a
-// Cancel+Schedule heap round-trip. Must be called before any traffic.
-// Both engines arm wakeups by the same rule and draw sequence numbers
-// identically, so they dispatch the same (time, seq) event stream and
-// write the same snapshots.
-func (c *Controller) SetShardQueues(qs []*timing.EventQueue) {
-	if len(qs) != len(c.chans) {
-		panic(fmt.Sprintf("memctrl: %d shard queues for %d channels", len(qs), len(c.chans)))
-	}
-	for i, ch := range c.chans {
-		ch.eq = qs[i]
-		ch.fast = true
-		ch.timer = qs[i].NewTimer(ch.wakeupFn)
-	}
-}
-
 // SetReadIntegrity installs the demand-read ECC hook. Must be called
 // before the simulation starts; nil leaves reads uninspected.
 func (c *Controller) SetReadIntegrity(ri ReadIntegrity) { c.ri = ri }
@@ -380,15 +358,9 @@ type channel struct {
 	ctl *Controller
 	id  int
 
-	// eq is the event queue this channel schedules on: the controller's
-	// global queue in the serial engine, the channel's shard queue under
-	// SetShardQueues. Both share the simulation clock.
+	// eq caches the controller's event queue, which every channel
+	// schedules on.
 	eq *timing.EventQueue
-
-	// fast selects the sharded engine's wakeup bookkeeping; timer is its
-	// per-channel deadline slot (replaces the wakeupEv heap event).
-	fast  bool
-	timer *timing.Timer
 
 	// Bank bitmasks, valid when the channel has at most 64 banks
 	// (wideBanks false; wider geometries fall back to linear scans).
@@ -1004,12 +976,6 @@ func (ch *channel) wakeup(t timing.Time) {
 // fires first at that instant and kicks the channel itself, and the
 // wakeup would find nothing left to start. What remains is the ECC
 // stall (the bank frees before its read completes) and tFAW expiry.
-//
-// On the sharded engine the wakeup lives in a timer slot instead of a
-// heap event: re-aiming is two stores instead of a Cancel+Schedule sift
-// round-trip, and since Arm draws a sequence number exactly like
-// Schedule, the timer fires in precisely the position the replaced
-// event would have — both engines dispatch the same (time, seq) stream.
 func (ch *channel) armWakeup(now timing.Time) {
 	pendingWork := false
 	for _, q := range ch.queues {
@@ -1055,14 +1021,6 @@ func (ch *channel) armWakeup(now timing.Time) {
 	}
 	if at == timing.Forever {
 		return // everything is free; nothing further will unblock by time alone
-	}
-	if ch.fast {
-		if ch.timer.Armed() && ch.wakeupAt <= at {
-			return // an earlier or equal wakeup is already armed
-		}
-		ch.wakeupAt = at
-		ch.timer.Arm(ch.eq, at)
-		return
 	}
 	if ch.wakeupEv.Valid() {
 		if ch.wakeupAt <= at {

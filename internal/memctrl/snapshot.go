@@ -113,18 +113,11 @@ func (c *Controller) Snapshot(w *snapshot.Writer) error {
 				}
 			}
 		}
-		// The wakeup lives in a heap event (serial engine) or a timer slot
-		// (sharded engine); both carry the same (at, seq) position, so the
-		// snapshot bytes are identical whichever engine wrote them.
-		armed := ch.wakeupEv.Valid() || (ch.fast && ch.timer.Armed())
+		armed := ch.wakeupEv.Valid()
 		w.Bool(armed)
 		if armed {
 			w.I64(int64(ch.wakeupAt))
-			if ch.fast {
-				w.I64(ch.timer.Seq())
-			} else {
-				w.I64(ch.wakeupEv.Seq())
-			}
+			w.I64(ch.wakeupEv.Seq())
 		}
 	}
 	w.U32(uint32(len(c.inflight)))
@@ -280,11 +273,7 @@ func (c *Controller) Restore(r *snapshot.Reader, resolve OwnerResolver, pend *[]
 			seq := r.I64()
 			*pend = append(*pend, timing.Pending{At: at, Seq: seq, Arm: func() {
 				cch.wakeupAt = at
-				if cch.fast {
-					cch.timer.Arm(cch.eq, at) // draws the next seq, like Schedule
-				} else {
-					cch.wakeupEv = cch.eq.Schedule(at, cch.wakeupFn)
-				}
+				cch.wakeupEv = cch.eq.Schedule(at, cch.wakeupFn)
 			}})
 		}
 	}

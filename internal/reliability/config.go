@@ -96,8 +96,8 @@ func (c Config) Validate() error {
 	if c.ECCBits > c.LineBits {
 		return fmt.Errorf("reliability: ECC budget %d exceeds line size %d", c.ECCBits, c.LineBits)
 	}
-	if c.ProgBitErrorProb < 0 || c.ProgBitErrorProb >= 1 {
-		return fmt.Errorf("reliability: programming bit-error probability %v out of [0, 1)", c.ProgBitErrorProb)
+	if !(c.ProgBitErrorProb >= 0 && c.ProgBitErrorProb < 1) { // negated so NaN fails too
+		return fmt.Errorf("reliability: ProgBitErrorProb %v out of [0, 1)", c.ProgBitErrorProb)
 	}
 	if c.ECCLatency < 0 {
 		return fmt.Errorf("reliability: negative ECC latency %v", c.ECCLatency)

@@ -116,12 +116,10 @@ func RunParallel(ctx context.Context, cfg sim.Config, parallel int) (sim.Metrics
 // produce is the snapshot-producing pass over sys, a fresh System for
 // cfg: it simulates the configured warmup in full detail, then walks the
 // measured duration once, handing each of the Windows segment-start
-// snapshots to emit as soon as it is written. It closes sys on return
-// (the producer never Measures, so its shard workers are released
-// explicitly); the caller drops it, so it is garbage from then on.
+// snapshots to emit as soon as it is written. The caller drops sys
+// afterwards, so it is garbage from then on.
 func produce(ctx context.Context, cfg sim.Config, sys *sim.System, emit func(i int, blob []byte)) error {
 	sp := cfg.Sampling
-	defer sys.Close()
 	if err := sys.Warmup(ctx); err != nil {
 		return err
 	}

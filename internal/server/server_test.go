@@ -2,6 +2,7 @@ package server
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -15,6 +16,7 @@ import (
 	"time"
 
 	"rrmpcm/internal/sim"
+	"rrmpcm/internal/trace"
 )
 
 // instantSim is a fake simulation that finishes immediately with
@@ -178,6 +180,53 @@ func TestSubmitValidation(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusNotFound {
 		t.Errorf("unknown job status %d, want 404", resp.StatusCode)
+	}
+}
+
+// TestSubmitRejectsUnknownConfigField: a full config carrying a field
+// sim.Config does not have — here "Shards", the knob of the retired
+// sharded engine — is a 400 naming the field, never a silently
+// different run. The same config without the field is accepted.
+func TestSubmitRejectsUnknownConfigField(t *testing.T) {
+	var ran atomic.Int64
+	srv, ts := newTestServer(t, Options{Sim: countingSim(&ran, instantSim)})
+	w, err := trace.WorkloadByName("GemsFDTD")
+	if err != nil {
+		t.Fatal(err)
+	}
+	blob, err := json.Marshal(sim.DefaultConfig(sim.RRMScheme(), w))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var cfg map[string]any
+	if err := json.Unmarshal(blob, &cfg); err != nil {
+		t.Fatal(err)
+	}
+	post := func() (int, string) {
+		body, err := json.Marshal(map[string]any{"config": cfg})
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.Post(ts.URL+"/api/v1/jobs", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var e map[string]string
+		_ = json.NewDecoder(resp.Body).Decode(&e)
+		return resp.StatusCode, e["error"]
+	}
+
+	cfg["Shards"] = 4
+	if code, msg := post(); code != http.StatusBadRequest || !strings.Contains(msg, `unknown field "Shards"`) {
+		t.Errorf("config with Shards: status %d error %q, want 400 naming the field", code, msg)
+	}
+	if n := srv.QueueDepth(); n != 0 || ran.Load() != 0 {
+		t.Errorf("rejected submit left %d queued, %d run", n, ran.Load())
+	}
+	delete(cfg, "Shards")
+	if code, msg := post(); code != http.StatusAccepted {
+		t.Errorf("config without Shards: status %d (%s), want 202", code, msg)
 	}
 }
 

@@ -25,6 +25,7 @@ package sim
 
 import (
 	"fmt"
+	"math"
 
 	"rrmpcm/internal/cache"
 	"rrmpcm/internal/core"
@@ -138,18 +139,6 @@ type Config struct {
 	// batches. Nil — the default — is the paper's PCM-only machine.
 	Hybrid *dram.HybridConfig `json:",omitempty"`
 
-	// Shards selects the sharded execution engine: events are split
-	// across per-shard queues — shard 0 carries the cores, write policy
-	// and everything channel-independent; each further shard carries a
-	// group of memory channels with their bank state and completions —
-	// and executed in conservative epoch windows that merge in global
-	// (time, seq) order, so metrics and snapshots are byte-identical to
-	// the serial engine for any setting. 0 (the default) runs the classic
-	// single-queue engine; -1 ("auto") uses one shard per memory channel;
-	// a positive count must divide the channel count. Omitted from the
-	// JSON identity when zero, so existing config hashes are unchanged.
-	Shards int `json:",omitempty"`
-
 	// Sampling, when non-nil, runs the measurement as SMARTS-style
 	// interval sampling (internal/sampling) instead of one contiguous
 	// detailed window: Duration is covered by Sampling.Windows detailed
@@ -208,17 +197,13 @@ func (c Config) Validate() error {
 	if c.Warmup < 0 {
 		return fmt.Errorf("sim: negative warmup")
 	}
-	if c.TimeScale < 1 {
-		return fmt.Errorf("sim: TimeScale %v must be >= 1", c.TimeScale)
+	// Float range checks are negated so that NaN, which fails every
+	// comparison, fails them too.
+	if !(c.TimeScale >= 1) || math.IsInf(c.TimeScale, 1) {
+		return fmt.Errorf("sim: TimeScale %v must be finite and >= 1", c.TimeScale)
 	}
-	if c.HitStallFactor < 0 || c.HitStallFactor > 1 {
+	if !(c.HitStallFactor >= 0 && c.HitStallFactor <= 1) {
 		return fmt.Errorf("sim: HitStallFactor %v out of [0,1]", c.HitStallFactor)
-	}
-	if c.Shards < -1 {
-		return fmt.Errorf("sim: Shards %d (want -1 for auto, 0 for serial, or a positive count)", c.Shards)
-	}
-	if n := c.effectiveShards(); n > 0 && c.Device.Channels%n != 0 {
-		return fmt.Errorf("sim: %d shards must divide %d channels", n, c.Device.Channels)
 	}
 	if c.Sampling != nil {
 		if err := c.Sampling.Validate(c.Duration); err != nil {
@@ -253,33 +238,6 @@ func (c Config) Validate() error {
 		return fmt.Errorf("sim: unknown scheme kind %d", int(c.Scheme.Kind))
 	}
 	return nil
-}
-
-// effectiveShards resolves the Shards knob: -1 (auto) means one shard
-// per memory channel, 0 stays serial, and a count above the channel
-// count caps there (a channel is the finest partition unit).
-func (c Config) effectiveShards() int {
-	n := c.Shards
-	if n == -1 || n > c.Device.Channels {
-		n = c.Device.Channels
-	}
-	return n
-}
-
-// shardLookahead derives the conservative epoch window from the minimum
-// controller→core latency already encoded in the timing model: the
-// fastest channel-domain action a core can observe is a forwarded read
-// completing after TCAS + BusXfer. Larger lookaheads only ever extend a
-// batch speculatively — a cross-shard event landing inside the open
-// window aborts the batch to the barrier — so correctness holds for any
-// positive value; this one bounds how far a shard can run ahead between
-// barriers.
-func (c Config) shardLookahead() timing.Time {
-	la := c.Ctrl.TCAS + c.Ctrl.BusXfer
-	if la < 1 {
-		la = 1
-	}
-	return la
 }
 
 // scaledRRM returns the RRM config with the retention clock accelerated

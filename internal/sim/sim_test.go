@@ -3,6 +3,7 @@ package sim
 import (
 	"math"
 	"runtime"
+	"strings"
 	"testing"
 
 	"rrmpcm/internal/core"
@@ -49,6 +50,34 @@ func TestConfigValidation(t *testing.T) {
 		mutate(&cfg)
 		if err := cfg.Validate(); err == nil {
 			t.Errorf("case %d: invalid config accepted", i)
+		}
+	}
+}
+
+// TestConfigValidationNonFinite: NaN and infinite floats are rejected
+// by Validate (and so by New) with an error naming the field, instead of
+// passing through to a panic or a silently meaningless run.
+func TestConfigValidationNonFinite(t *testing.T) {
+	for _, tc := range []struct {
+		field  string
+		mutate func(*Config)
+	}{
+		{"TimeScale", func(c *Config) { c.TimeScale = math.NaN() }},
+		{"TimeScale", func(c *Config) { c.TimeScale = math.Inf(1) }},
+		{"HitStallFactor", func(c *Config) { c.HitStallFactor = math.NaN() }},
+		{"ProgBitErrorProb", func(c *Config) {
+			c.Reliability.Enabled = true
+			c.Reliability.ProgBitErrorProb = math.NaN()
+		}},
+	} {
+		cfg := quickConfig(t, RRMScheme(), "hmmer")
+		tc.mutate(&cfg)
+		err := cfg.Validate()
+		if err == nil || !strings.Contains(err.Error(), tc.field) {
+			t.Errorf("%s: Validate = %v, want an error naming the field", tc.field, err)
+		}
+		if _, err := New(cfg); err == nil {
+			t.Errorf("%s: New accepted the config", tc.field)
 		}
 	}
 }

@@ -26,11 +26,13 @@ import (
 // v5 drops the per-region wear list from the wear section (the
 // per-4-KB-region wear array it encoded is gone; wear keeps its
 // per-kind, per-mode and per-bank counts).
+// v6 drops the v4 shard-mailbox count (always 0) with the sharded
+// engine it served.
 // engine.warmHashVersion was bumped alongside each, so older blobs are
 // never looked up, let alone misparsed.
 const (
 	sysSnapMagic   uint32 = 0x52524D53 // "RRMS"
-	sysSnapVersion uint16 = 5
+	sysSnapVersion uint16 = 6
 )
 
 // Snapshot serializes a warmed system (after Warmup, before Measure).
@@ -47,14 +49,6 @@ func (s *System) Snapshot() ([]byte, error) {
 	w := snapshot.NewWriter(max(1<<20, s.snapCap))
 	w.Header(sysSnapMagic, sysSnapVersion)
 	w.I64(int64(s.eq.Now()))
-	// Shard-mailbox section (v4): the count of in-transit cross-shard
-	// messages owned by no component. Snapshots are only taken between
-	// epochs, when every cross-shard event rests in its destination queue
-	// and is serialized by the component that owns it, so the count is
-	// zero by construction — deliberately independent of the shard count,
-	// which keeps snapshot bytes identical across engines. Restore
-	// validates the invariant.
-	w.U32(0)
 	w.U32(uint32(len(s.cores)))
 	for i, c := range s.cores {
 		s.gens[i].Snapshot(w)
@@ -126,20 +120,13 @@ func (s *System) Restore(blob []byte) error {
 		return err
 	}
 	warm := timing.Time(r.I64())
-	if n := r.U32(); r.Err() == nil && n != 0 {
-		r.Fail("sim: snapshot holds %d in-transit mailbox messages (always 0 at epoch barriers)", n)
-	}
 	if n := r.U32(); r.Err() == nil && int(n) != len(s.cores) {
 		r.Fail("sim: snapshot has %d cores, live system %d", n, len(s.cores))
 	}
 	if err := r.Err(); err != nil {
 		return err
 	}
-	if s.set != nil {
-		s.set.Reset(warm)
-	} else {
-		s.eq.Reset(warm)
-	}
+	s.eq.Reset(warm)
 	var pend []timing.Pending
 	for i, c := range s.cores {
 		s.gens[i].Restore(r)

@@ -56,14 +56,8 @@ type System struct {
 	// by append through four.
 	snapCap int
 
-	// eq is shard 0's queue (the core domain) — and, when set is nil,
-	// the single global queue of the serial engine. All queues of a set
-	// share one clock, so eq.Now() is the global time either way.
-	eq *timing.EventQueue
-	// set is the sharded execution engine (cfg.Shards != 0): per-shard
-	// queues merged in global (time, seq) order under conservative epoch
-	// windows. Nil for the serial engine.
-	set    *timing.ShardSet
+	// eq is the simulation's single event queue.
+	eq     *timing.EventQueue
 	amap   *pcm.AddressMap
 	wear   *pcm.WearTracker
 	energy *pcm.EnergyMeter
@@ -100,15 +94,7 @@ func New(cfg Config) (*System, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	s := &System{cfg: cfg}
-	if n := cfg.effectiveShards(); n > 0 {
-		// Shard 0 is the core domain (cores, policy, hybrid tier, patrol);
-		// shards 1..n each own Channels/n memory channels.
-		s.set = timing.NewShardSet(1+n, cfg.shardLookahead())
-		s.eq = s.set.Queue(0)
-	} else {
-		s.eq = timing.NewEventQueue()
-	}
+	s := &System{cfg: cfg, eq: timing.NewEventQueue()}
 
 	var err error
 	s.amap, err = pcm.NewAddressMap(cfg.Device)
@@ -129,17 +115,6 @@ func New(cfg Config) (*System, error) {
 	s.ctl, err = memctrl.New(cfg.Ctrl, s.amap, s.eq, s.backend)
 	if err != nil {
 		return nil, err
-	}
-	if s.set != nil {
-		// Bind each channel to its shard's queue: channel c lives on
-		// shard 1 + c/(Channels/n).
-		n := s.set.NumShards() - 1
-		per := cfg.Device.Channels / n
-		qs := make([]*timing.EventQueue, cfg.Device.Channels)
-		for c := range qs {
-			qs[c] = s.set.Queue(1 + c/per)
-		}
-		s.ctl.SetShardQueues(qs)
 	}
 
 	switch cfg.Scheme.Kind {
@@ -219,12 +194,6 @@ func New(cfg Config) (*System, error) {
 		c, err := cpu.New(ccfg, gen, s.backend, s.eq)
 		if err != nil {
 			return nil, err
-		}
-		if s.set != nil {
-			// Sharded engine: the recurring step event rides a timer
-			// slot instead of the heap (same (at, seq) stream either
-			// way — see cpu.UseTimerStep).
-			c.UseTimerStep()
 		}
 		s.cores = append(s.cores, c)
 		s.gens = append(s.gens, gen)
@@ -328,7 +297,6 @@ func (s *System) Measure(ctx context.Context) (Metrics, error) {
 // and collects metrics over a measurement window of the given length
 // (cfg.Duration for Measure, the sampling window for MeasureWindow).
 func (s *System) finishMeasure(ctx context.Context, end timing.Time, window timing.Time) (Metrics, error) {
-	defer s.Close() // a measured (or failed) system never runs again
 	if err := s.runUntil(ctx, end); err != nil {
 		return Metrics{}, err
 	}
@@ -345,7 +313,7 @@ func (s *System) finishMeasure(ctx context.Context, end timing.Time, window timi
 		if err := ctx.Err(); err != nil {
 			return Metrics{}, fmt.Errorf("sim: run cancelled at %v: %w", s.eq.Now(), err)
 		}
-		s.advance(s.eq.Now() + timing.Millisecond)
+		s.eq.RunUntil(s.eq.Now() + timing.Millisecond)
 	}
 	if s.dev.Pending() {
 		return Metrics{}, fmt.Errorf("sim: memory system failed to drain after %v", deadline-end)
@@ -363,15 +331,10 @@ func (s *System) finishMeasure(ctx context.Context, end timing.Time, window timi
 	return s.collect(window), nil
 }
 
-// Close releases the sharded engine's worker goroutines (a no-op on the
-// serial engine, and idempotent). Measured systems close themselves; it
-// only needs calling explicitly when a System is abandoned before
-// Measure — e.g. the sampling executor's snapshot-producing run.
-func (s *System) Close() {
-	if s.set != nil {
-		s.set.Close()
-	}
-}
+// Close does nothing: a System holds no goroutines, files or other
+// resources beyond memory, so dropping it is enough. It stays so that
+// existing callers keep compiling.
+func (s *System) Close() {}
 
 // initPatrol builds the periodic background patrol-scrub callback: every
 // scaled PatrolInterval it asks the reliability engine for the next batch
@@ -408,20 +371,9 @@ func (s *System) runUntil(ctx context.Context, t timing.Time) error {
 		if next > t {
 			next = t
 		}
-		s.advance(next)
+		s.eq.RunUntil(next)
 	}
 	return nil
-}
-
-// advance drives the engine to deadline: the shard merge when sharded,
-// the single queue otherwise. Either way events dispatch in the same
-// global (time, seq) order.
-func (s *System) advance(t timing.Time) {
-	if s.set != nil {
-		s.set.RunUntil(t)
-		return
-	}
-	s.eq.RunUntil(t)
 }
 
 // baseline captures every counter the measurement window must subtract.

@@ -39,23 +39,11 @@ func (r EventRef) Seq() int64 {
 	return r.seq
 }
 
-// clock is the (time, sequence) source of one simulation. A standalone
-// EventQueue owns its clock; the queues of a ShardSet share one, so a
-// component scheduling onto any shard sees the same global Now and every
-// event across all shards draws from one sequence space — which is what
-// makes the merged dispatch order of a sharded run identical to the
-// serial order (ties at the same instant still resolve by schedule
-// order, regardless of which shard holds the event).
-type clock struct {
-	now Time
-	seq int64
-}
-
 // EventQueue is a deterministic priority queue of events. Events
 // scheduled for the same instant fire in the order they were scheduled,
 // which keeps simulations reproducible regardless of map iteration or
-// goroutine scheduling (event dispatch is serialized even under a
-// ShardSet).
+// goroutine scheduling. One queue drives a whole simulation: every
+// component schedules onto it and a single goroutine dispatches.
 //
 // Pending events live in two 4-ary heaps. An event due at least
 // farHorizon past Now when it is scheduled goes on the far heap, every
@@ -75,25 +63,8 @@ type EventQueue struct {
 	near eventHeap
 	far  eventHeap
 	free []*Event
-	ck   *clock
-
-	// timers are coarse one-shot deadline slots (see NewTimer), cheaper
-	// than heap events for the re-arm-heavy wakeups of the sharded
-	// engine. Only ShardSet-driven queues use them; a standalone queue's
-	// timer slice stays nil and Step ignores the field entirely.
-	timers []*Timer
-
-	// set/shard back-reference when the queue belongs to a ShardSet;
-	// Schedule uses it to tighten the executing batch's ordering bound
-	// when work lands on another shard (see ShardSet.limAt).
-	set   *ShardSet
-	shard int
-
-	// dirty is set by every mutation that can move the queue's earliest
-	// work (Schedule, Cancel, dispatch, timer arm/disarm, Reset). The
-	// ShardSet barrier uses it to recompute head keys only for queues
-	// that actually changed since the previous epoch.
-	dirty bool
+	now  Time  // At of the most recently dispatched event
+	seq  int64 // next sequence number
 }
 
 // farHorizon splits the two heaps. Near work (bank transactions, bus
@@ -105,12 +76,12 @@ const farHorizon = 100 * Microsecond
 
 // NewEventQueue returns an empty queue whose clock starts at 0.
 func NewEventQueue() *EventQueue {
-	return &EventQueue{ck: &clock{}}
+	return &EventQueue{}
 }
 
 // Now returns the current simulation time: the At of the most recently
 // dispatched event.
-func (q *EventQueue) Now() Time { return q.ck.now }
+func (q *EventQueue) Now() Time { return q.now }
 
 // Len returns the number of pending events.
 func (q *EventQueue) Len() int { return len(q.near) + len(q.far) }
@@ -119,7 +90,7 @@ func (q *EventQueue) Len() int { return len(q.near) + len(q.far) }
 // Now) is a programming error and panics, since it would silently reorder
 // causality.
 func (q *EventQueue) Schedule(at Time, fn func(now Time)) EventRef {
-	if at < q.ck.now {
+	if at < q.now {
 		panic("timing: event scheduled in the past")
 	}
 	var ev *Event
@@ -130,21 +101,12 @@ func (q *EventQueue) Schedule(at Time, fn func(now Time)) EventRef {
 	} else {
 		ev = &Event{}
 	}
-	ev.At, ev.Do, ev.seq = at, fn, q.ck.seq
-	q.ck.seq++
-	if ev.far = at-q.ck.now >= farHorizon; ev.far {
+	ev.At, ev.Do, ev.seq = at, fn, q.seq
+	q.seq++
+	if ev.far = at-q.now >= farHorizon; ev.far {
 		q.far.push(ev)
 	} else {
 		q.near.push(ev)
-	}
-	q.dirty = true
-	if s := q.set; s != nil && s.active >= 0 && q.shard != s.active &&
-		(at < s.limAt || (at == s.limAt && ev.seq < s.limSeq)) {
-		// Cross-shard traffic now precedes the executing batch's
-		// ordering bound: tighten the bound so the batch stops before
-		// running past it. The batch keeps dispatching its earlier
-		// work — nothing is aborted or redone.
-		s.limAt, s.limSeq = at, ev.seq
 	}
 	return EventRef{ev: ev, seq: ev.seq}
 }
@@ -156,12 +118,8 @@ func (q *EventQueue) Schedule(at Time, fn func(now Time)) EventRef {
 func (q *EventQueue) Reset(now Time) {
 	q.discard(&q.near)
 	q.discard(&q.far)
-	for _, t := range q.timers {
-		t.At = Forever
-	}
-	q.dirty = true
-	q.ck.seq = 0
-	q.ck.now = now
+	q.seq = 0
+	q.now = now
 }
 
 // discard recycles every event of h and empties it.
@@ -175,7 +133,7 @@ func (q *EventQueue) discard(h *eventHeap) {
 
 // After enqueues fn to run d after the current time.
 func (q *EventQueue) After(d Time, fn func(now Time)) EventRef {
-	return q.Schedule(q.ck.now+d, fn)
+	return q.Schedule(q.now+d, fn)
 }
 
 // Cancel removes a pending event. Cancelling a zero ref, or a ref whose
@@ -190,7 +148,6 @@ func (q *EventQueue) Cancel(ref EventRef) {
 	} else {
 		q.near.remove(ev.idx)
 	}
-	q.dirty = true
 	q.recycle(ev)
 }
 
@@ -216,68 +173,17 @@ func (q *EventQueue) head() *eventHeap {
 	return &q.near
 }
 
-// PeekTime returns the time of the earliest pending event or armed
-// timer, or Forever if the queue is idle.
+// PeekTime returns the time of the earliest pending event, or Forever
+// if the queue is idle.
 func (q *EventQueue) PeekTime() Time {
-	at, _ := q.headKey()
-	return at
-}
-
-// headKey returns the (time, seq) dispatch key of the queue's earliest
-// work. Armed timers carry real sequence numbers (assigned at Arm), so
-// they interleave with heap events — here and across shards in a merge —
-// exactly as the equivalent Scheduled event would.
-func (q *EventQueue) headKey() (Time, int64) {
-	at, seq := Forever, int64(1<<62)
 	if h := q.head(); h != nil {
-		at, seq = (*h)[0].At, (*h)[0].seq
+		return (*h)[0].At
 	}
-	for _, t := range q.timers {
-		if t.At < at || (t.At == at && t.seq < seq) {
-			at, seq = t.At, t.seq
-		}
-	}
-	return at, seq
-}
-
-// runWindow dispatches the queue's work in (time, seq) order while it
-// stays before windowEnd (the deadline clip) and ahead of the batch's
-// ordering bound — the earliest (time, seq) owned by any other shard,
-// re-read every iteration because the batch's own cross-shard
-// scheduling tightens it in place. It is the batch loop of ShardSet;
-// living here lets each iteration peek the heap heads and timer slots
-// exactly once instead of once in headKey and again in dispatchKey.
-func (q *EventQueue) runWindow(s *ShardSet, windowEnd Time) {
-	for {
-		at, seq := Forever, int64(1<<62)
-		h := q.head()
-		if h != nil {
-			at, seq = (*h)[0].At, (*h)[0].seq
-		}
-		var timer *Timer
-		for _, t := range q.timers {
-			if t.At < at || (t.At == at && t.seq < seq) {
-				at, seq = t.At, t.seq
-				timer = t
-			}
-		}
-		if at >= windowEnd || at > s.limAt || (at == s.limAt && seq > s.limSeq) {
-			return
-		}
-		if timer != nil {
-			timer.At = Forever
-			q.dirty = true
-			q.ck.now = at
-			timer.fn(at)
-		} else {
-			q.dispatch(h)
-		}
-	}
+	return Forever
 }
 
 // Step dispatches the earliest pending heap event, advancing the clock
-// to its time. It reports whether an event was dispatched. (Timer slots
-// are dispatched by ShardSet via headKey/stepHead, never by Step.)
+// to its time. It reports whether an event was dispatched.
 func (q *EventQueue) Step() bool {
 	h := q.head()
 	if h == nil {
@@ -290,14 +196,13 @@ func (q *EventQueue) Step() bool {
 // dispatch pops the head of h and runs it.
 func (q *EventQueue) dispatch(h *eventHeap) {
 	ev := h.pop()
-	q.dirty = true
-	q.ck.now = ev.At
+	q.now = ev.At
 	do := ev.Do
 	// Recycle before dispatch: the callback may Schedule, and reusing
 	// this event's storage there is safe because the caller's EventRef
 	// sequence number no longer matches.
 	q.recycle(ev)
-	do(q.ck.now)
+	do(q.now)
 }
 
 // RunUntil dispatches events in order until the next event would be after
@@ -306,8 +211,8 @@ func (q *EventQueue) RunUntil(deadline Time) {
 	for h := q.head(); h != nil && (*h)[0].At <= deadline; h = q.head() {
 		q.dispatch(h)
 	}
-	if q.ck.now < deadline {
-		q.ck.now = deadline
+	if q.now < deadline {
+		q.now = deadline
 	}
 }
 
@@ -320,64 +225,6 @@ func (q *EventQueue) Drain(maxEvents int) int {
 	}
 	return n
 }
-
-// Timer is a one-shot deadline slot on an EventQueue: a single mutable
-// (At, seq, fn) triple that fires at most once per arming and re-arms
-// with two stores instead of a Cancel+Schedule heap round-trip. It
-// exists for the sharded engine's channel wakeups, which are re-aimed on
-// nearly every kick; as heap events that churn dominates sift cost.
-// Arming draws a sequence number from the queue's clock exactly like
-// Schedule, so an armed timer interleaves with same-instant heap events
-// precisely as the event it replaces would have — replacing an event
-// with a timer changes no dispatch order. A disarmed timer holds
-// At == Forever. Timers are not part of Len/Drain; they are dispatched
-// only by a ShardSet (stepHead).
-type Timer struct {
-	At  Time
-	seq int64
-	fn  func(now Time)
-	q   *EventQueue // owning queue, for barrier dirty-marking
-}
-
-// NewTimer registers a timer slot on the queue, initially disarmed. The
-// number of slots per queue is expected to stay small (one per memory
-// channel mapped to the shard); every PeekTime/headKey scans them.
-func (q *EventQueue) NewTimer(fn func(now Time)) *Timer {
-	t := &Timer{At: Forever, fn: fn, q: q}
-	q.timers = append(q.timers, t)
-	return t
-}
-
-// Arm sets the timer to fire at `at`, replacing any earlier deadline and
-// assigning a fresh sequence number (the ordering position a Schedule
-// call at this point would get). Arming in the past is a programming
-// error, as with Schedule.
-func (t *Timer) Arm(q *EventQueue, at Time) {
-	if at < q.ck.now {
-		panic("timing: timer armed in the past")
-	}
-	t.At = at
-	t.seq = q.ck.seq
-	q.ck.seq++
-	q.dirty = true
-	if s := q.set; s != nil && s.active >= 0 && q.shard != s.active &&
-		(at < s.limAt || (at == s.limAt && t.seq < s.limSeq)) {
-		s.limAt, s.limSeq = at, t.seq // cross-shard deadline tightens the batch bound
-	}
-}
-
-// Seq returns the sequence number assigned at the last Arm (snapshots
-// record it alongside At to rebuild dispatch order on restore).
-func (t *Timer) Seq() int64 { return t.seq }
-
-// Disarm clears the timer.
-func (t *Timer) Disarm() {
-	t.At = Forever
-	t.q.dirty = true
-}
-
-// Armed reports whether the timer holds a live deadline.
-func (t *Timer) Armed() bool { return t.At != Forever }
 
 // eventHeap is a 4-ary min-heap of events ordered by (At, seq). The
 // arity halves the depth of a binary heap, so the pop-heavy dispatch

@@ -95,17 +95,14 @@ func childDelay(id int) (Time, bool) {
 	return 0, false
 }
 
-// twoTierRun drives one operation stream against the queue layout given
-// by queues (a standalone queue, or the shards of a ShardSet) and the
-// reference model in lockstep, and fails on the first divergence.
-func twoTierRun(t *testing.T, seed int64, queues []*EventQueue, now func() Time,
-	step func() bool, runUntil func(Time), reset func(Time)) {
+// twoTierRun drives one operation stream against q and the reference
+// model in lockstep, and fails on the first divergence.
+func twoTierRun(t *testing.T, seed int64, q *EventQueue) {
 	t.Helper()
 	g := &twoTierScript{rng: rand.New(rand.NewSource(seed))}
 	m := &refQueue{}
 	var log []string
 	type live struct {
-		q   *EventQueue
 		ref EventRef
 		seq int64
 	}
@@ -116,9 +113,7 @@ func twoTierRun(t *testing.T, seed int64, queues []*EventQueue, now func() Time,
 		return func(at Time) {
 			log = append(log, fmt.Sprintf("%d@%d", id, at))
 			if d, ok := childDelay(id); ok && id < 100_000 {
-				child := id + 100_000
-				q := queues[child%len(queues)]
-				q.Schedule(at+d, event(child))
+				q.Schedule(at+d, event(id+100_000))
 			}
 		}
 	}
@@ -137,24 +132,23 @@ func twoTierRun(t *testing.T, seed int64, queues []*EventQueue, now func() Time,
 			at := g.pickTime(m.now)
 			id := g.nextID
 			g.nextID++
-			q := queues[g.rng.Intn(len(queues))]
 			ref := q.Schedule(at, event(id))
 			seq := m.schedule(at, id)
 			if ref.Seq() != seq {
 				t.Fatalf("seed %d op %d: seq %d, model %d", seed, op, ref.Seq(), seq)
 			}
-			refs = append(refs, live{q, ref, seq})
+			refs = append(refs, live{ref, seq})
 			g.pendAts = append(g.pendAts, at)
 		case r < 13: // Cancel a random (possibly fired) event
 			if len(refs) == 0 {
 				continue
 			}
 			i := g.rng.Intn(len(refs))
-			refs[i].q.Cancel(refs[i].ref)
+			q.Cancel(refs[i].ref)
 			m.cancel(refs[i].seq)
 			refs = append(refs[:i], refs[i+1:]...)
-		case r < 17 && step != nil: // Step
-			ok := step()
+		case r < 17: // Step
+			ok := q.Step()
 			if ok != (len(m.pending) > 0) {
 				t.Fatalf("seed %d op %d: Step = %v with %d pending in model", seed, op, ok, len(m.pending))
 			}
@@ -163,7 +157,7 @@ func twoTierRun(t *testing.T, seed int64, queues []*EventQueue, now func() Time,
 			}
 		case r < 19: // RunUntil
 			d := m.now + Time(g.rng.Int63n(int64(2*farHorizon)))
-			runUntil(d)
+			q.RunUntil(d)
 			for len(m.pending) > 0 && m.pending[0].at <= d {
 				modelDispatch(m.pop())
 			}
@@ -172,19 +166,19 @@ func twoTierRun(t *testing.T, seed int64, queues []*EventQueue, now func() Time,
 			}
 		default: // Reset
 			at := m.now + Time(g.rng.Intn(1000))
-			reset(at)
+			q.Reset(at)
 			m.pending, m.seq, m.now = m.pending[:0], 0, at
 			refs = refs[:0]
 			g.pendAts = g.pendAts[:0]
 		}
-		if now() != m.now {
-			t.Fatalf("seed %d op %d: Now = %d, model %d", seed, op, now(), m.now)
+		if q.Now() != m.now {
+			t.Fatalf("seed %d op %d: Now = %d, model %d", seed, op, q.Now(), m.now)
 		}
-		if n := len(m.pending); queuesLen(queues) != n {
-			t.Fatalf("seed %d op %d: Len = %d, model %d", seed, op, queuesLen(queues), n)
+		if n := len(m.pending); q.Len() != n {
+			t.Fatalf("seed %d op %d: Len = %d, model %d", seed, op, q.Len(), n)
 		}
 	}
-	runUntil(Forever - 1)
+	q.RunUntil(Forever - 1)
 	for len(m.pending) > 0 {
 		modelDispatch(m.pop())
 	}
@@ -199,18 +193,6 @@ func twoTierRun(t *testing.T, seed int64, queues []*EventQueue, now func() Time,
 	}
 }
 
-func queuesLen(qs []*EventQueue) int {
-	seen := map[*EventQueue]bool{}
-	n := 0
-	for _, q := range qs {
-		if !seen[q] {
-			seen[q] = true
-			n += q.Len()
-		}
-	}
-	return n
-}
-
 // TestTwoTierMatchesReferenceOrder: the near/far split is invisible. A
 // standalone queue dispatches exactly the (At, seq) order of a sorted
 // reference model under random Schedule/Cancel/Step/RunUntil/Reset
@@ -218,23 +200,7 @@ func queuesLen(qs []*EventQueue) int {
 // far-heap event and a later-scheduled near-heap one.
 func TestTwoTierMatchesReferenceOrder(t *testing.T) {
 	for seed := int64(1); seed <= 20; seed++ {
-		q := NewEventQueue()
-		twoTierRun(t, seed, []*EventQueue{q}, q.Now, q.Step, q.RunUntil, q.Reset)
-	}
-}
-
-// TestTwoTierShardSetMatchesReferenceOrder is the same property with
-// events spread over the shards of a ShardSet (dispatch only through
-// the set's merged RunUntil).
-func TestTwoTierShardSetMatchesReferenceOrder(t *testing.T) {
-	for seed := int64(1); seed <= 10; seed++ {
-		for _, workers := range []bool{false, true} {
-			set := NewShardSet(3, 10)
-			set.SetWorkers(workers)
-			qs := []*EventQueue{set.Queue(0), set.Queue(1), set.Queue(2)}
-			twoTierRun(t, seed, qs, set.Now, nil, set.RunUntil, set.Reset)
-			set.Close()
-		}
+		twoTierRun(t, seed, NewEventQueue())
 	}
 }
 

@@ -13,7 +13,7 @@ set -eu
 cd "$(dirname "$0")/.."
 
 REF=${1:-BENCH_10.json}
-BENCH='^(BenchmarkTraceGenerator|BenchmarkCacheHierarchyAccess|BenchmarkMemoryController|BenchmarkFullSystemSimulation|BenchmarkShardedSimulation|BenchmarkHybridDRAMHit)$'
+BENCH='^(BenchmarkTraceGenerator|BenchmarkCacheHierarchyAccess|BenchmarkMemoryController|BenchmarkFullSystemSimulation|BenchmarkHybridDRAMHit)$'
 
 if [ ! -f "$REF" ]; then
     echo "bench_check: reference $REF missing (run scripts/bench_json.sh first)" >&2

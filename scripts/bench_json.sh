@@ -22,7 +22,7 @@ cd "$(dirname "$0")/.."
 
 OUT=${1:-BENCH_10.json}
 BASELINE=scripts/bench_baseline_3.json
-BENCH='^(BenchmarkTraceGenerator|BenchmarkTraceGeneratorPhases|BenchmarkTraceGeneratorBurst|BenchmarkTraceReplay|BenchmarkCacheHierarchyAccess|BenchmarkMemoryController|BenchmarkFullSystemSimulation|BenchmarkShardedSimulation|BenchmarkReliabilitySimulation|BenchmarkColdStartSweep|BenchmarkWarmStartSweep|BenchmarkFullRun|BenchmarkSampledRun|BenchmarkHybridDRAMHit|BenchmarkHybridMigration)$'
+BENCH='^(BenchmarkTraceGenerator|BenchmarkTraceGeneratorPhases|BenchmarkTraceGeneratorBurst|BenchmarkTraceReplay|BenchmarkCacheHierarchyAccess|BenchmarkMemoryController|BenchmarkFullSystemSimulation|BenchmarkReliabilitySimulation|BenchmarkColdStartSweep|BenchmarkWarmStartSweep|BenchmarkFullRun|BenchmarkSampledRun|BenchmarkHybridDRAMHit|BenchmarkHybridMigration)$'
 
 RAW=$(mktemp)
 trap 'rm -f "$RAW"' EXIT
