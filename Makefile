@@ -6,8 +6,8 @@
 #   race   race-detector pass over the packages the parallel engine
 #          drives (engine, experiments, the HTTP service, and the
 #          sim/trace/tracefile paths its workers execute concurrently)
-#          plus the event queue, memory controller and RRM core that
-#          every simulation runs
+#          plus the event queue, cache hierarchy, snapshot codec,
+#          memory controller and RRM core that every simulation runs
 #   bench  paper-artifact benchmarks (quick windows)
 #   bench-json
 #          hot-path component benchmarks -> BENCH_10.json (ns/op, B/op,
@@ -54,7 +54,7 @@ test:
 	$(GO) test ./...
 
 race:
-	$(GO) test -race ./internal/cluster/... ./internal/core/... ./internal/dram/... ./internal/engine/... ./internal/experiments/... ./internal/memctrl/... ./internal/reliability/... ./internal/sampling/... ./internal/server/... ./internal/sim/... ./internal/stats/... ./internal/timing/... ./internal/trace/... ./internal/tracefile/...
+	$(GO) test -race ./internal/cache/... ./internal/cluster/... ./internal/core/... ./internal/dram/... ./internal/engine/... ./internal/experiments/... ./internal/memctrl/... ./internal/reliability/... ./internal/sampling/... ./internal/server/... ./internal/sim/... ./internal/snapshot/... ./internal/stats/... ./internal/timing/... ./internal/trace/... ./internal/tracefile/...
 
 bench:
 	$(GO) test -bench=. -benchmem -run='^$$' .

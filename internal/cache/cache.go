@@ -57,6 +57,9 @@ func (c Config) Validate() error {
 	if c.LineBytes <= 0 || c.LineBytes&(c.LineBytes-1) != 0 {
 		return fmt.Errorf("cache %s: line size %d not a power of two", c.Name, c.LineBytes)
 	}
+	if c.LineBytes < 8 {
+		return fmt.Errorf("cache %s: line size %d below 8 bytes", c.Name, c.LineBytes)
+	}
 	if c.Ways <= 0 {
 		return fmt.Errorf("cache %s: ways %d", c.Name, c.Ways)
 	}
@@ -87,24 +90,24 @@ func (s Stats) HitRate() float64 {
 	return float64(s.Hits) / float64(s.Accesses)
 }
 
-// invalidTag marks an empty way. A real tag is a block address (device
-// capacities are far below 2^64 bytes), so the sentinel can never match
-// a lookup and the valid bit folds into the tag array itself.
-const invalidTag = ^uint64(0)
+// emptyLine marks an empty way. A line word is block<<1 | dirty, and
+// Config.Validate keeps LineBytes >= 8, so a block address has at most
+// 61 significant bits and no line word can equal the sentinel.
+const emptyLine = ^uint64(0)
 
-// Cache is one set-associative level. Way state is stored
-// structure-of-arrays: the tag scan — the hot loop of every access —
-// touches one densely packed uint64 per way instead of a padded struct,
-// and the LRU stamps and dirty bits stay out of the scan's cache lines.
+// Cache is one set-associative level. Each line is one word,
+// block<<1 | dirty, and each set's Ways words are kept in recency order,
+// most recent first: a hit moves its word to the front, a miss shifts
+// the set down one place and inserts at the front, and the word that
+// falls off the end is the victim. Sets fill from the front and no line
+// is invalidated on its own, so empty ways are always at the tail and
+// "first empty way, else least recently used" is simply the last way.
 type Cache struct {
 	cfg      Config
-	tags     []uint64 // nsets*ways, set-major; invalidTag = empty way
-	lastUse  []uint64 // parallel to tags
-	dirty    []bool   // parallel to tags
+	lines    []uint64 // nsets*ways, set-major, MRU first; emptyLine = empty way
 	nsets    int
 	setMask  uint64
 	lineBits uint
-	useClock uint64
 	stats    Stats
 }
 
@@ -117,14 +120,12 @@ func New(cfg Config) *Cache {
 	nsets := cfg.Sets()
 	c := &Cache{
 		cfg:     cfg,
-		tags:    make([]uint64, nsets*cfg.Ways),
-		lastUse: make([]uint64, nsets*cfg.Ways),
-		dirty:   make([]bool, nsets*cfg.Ways),
+		lines:   make([]uint64, nsets*cfg.Ways),
 		nsets:   nsets,
 		setMask: uint64(nsets - 1),
 	}
-	for i := range c.tags {
-		c.tags[i] = invalidTag
+	for i := range c.lines {
+		c.lines[i] = emptyLine
 	}
 	for lb := cfg.LineBytes; lb > 1; lb >>= 1 {
 		c.lineBits++
@@ -141,27 +142,37 @@ func (c *Cache) Stats() Stats { return c.stats }
 // lineAddr returns the block-aligned address of addr.
 func (c *Cache) lineAddr(addr uint64) uint64 { return addr &^ (uint64(c.cfg.LineBytes) - 1) }
 
-func (c *Cache) index(addr uint64) (set uint64, tag uint64) {
+// set returns the line words of the set addr maps to, and addr's line
+// word with the dirty bit clear.
+func (c *Cache) set(addr uint64) (lines []uint64, key uint64) {
 	blk := addr >> c.lineBits
-	return blk & c.setMask, blk >> 0
+	base := int(blk&c.setMask) * c.cfg.Ways
+	return c.lines[base : base+c.cfg.Ways : base+c.cfg.Ways], blk << 1
 }
 
-// ways returns the tag slice of one set (length = associativity).
-func (c *Cache) ways(set uint64) (base int, tags []uint64) {
-	base = int(set) * c.cfg.Ways
-	return base, c.tags[base : base+c.cfg.Ways]
+// find returns the way holding key in lines, or -1.
+func find(lines []uint64, key uint64) int {
+	for i, w := range lines {
+		if w&^1 == key {
+			return i
+		}
+	}
+	return -1
+}
+
+// touch moves way i of lines to the front, ORing dirty into its word,
+// and returns the word as it was.
+func touch(lines []uint64, i int, dirty uint64) uint64 {
+	w := lines[i]
+	copy(lines[1:i+1], lines[:i])
+	lines[0] = w | dirty
+	return w
 }
 
 // Lookup probes for addr without changing replacement or dirty state.
 func (c *Cache) Lookup(addr uint64) bool {
-	set, tag := c.index(addr)
-	_, tags := c.ways(set)
-	for _, t := range tags {
-		if t == tag {
-			return true
-		}
-	}
-	return false
+	lines, key := c.set(addr)
+	return find(lines, key) >= 0
 }
 
 // Victim describes a line pushed out of a level.
@@ -177,38 +188,19 @@ type Victim struct {
 // writeback to the next level.
 func (c *Cache) Access(addr uint64, kind AccessKind) (hit bool, victim Victim, evicted bool) {
 	c.stats.Accesses++
-	c.useClock++
-	set, tag := c.index(addr)
-	base, tags := c.ways(set)
-	for i, t := range tags {
-		if t == tag {
-			c.stats.Hits++
-			c.lastUse[base+i] = c.useClock
-			if kind == Store {
-				c.dirty[base+i] = true
-			}
-			return true, Victim{}, false
-		}
+	var dirty uint64
+	if kind == Store {
+		dirty = 1
+	}
+	lines, key := c.set(addr)
+	if i := find(lines, key); i >= 0 {
+		c.stats.Hits++
+		touch(lines, i, dirty)
+		return true, Victim{}, false
 	}
 	c.stats.Misses++
-	victim, evicted = c.allocate(set, tag, kind == Store)
+	victim, evicted = c.insert(lines, key|dirty)
 	return false, victim, evicted
-}
-
-// Fill installs addr as a clean line without counting a demand access
-// (used when a lower level returns data for an already-counted miss in
-// hierarchies that fill non-inclusively). Returns the victim, if any.
-func (c *Cache) Fill(addr uint64) (victim Victim, evicted bool) {
-	c.useClock++
-	set, tag := c.index(addr)
-	base, tags := c.ways(set)
-	for i, t := range tags {
-		if t == tag {
-			c.lastUse[base+i] = c.useClock
-			return Victim{}, false
-		}
-	}
-	return c.allocate(set, tag, false)
 }
 
 // WritebackInto installs a dirty writeback arriving from the level above.
@@ -217,76 +209,29 @@ func (c *Cache) Fill(addr uint64) (victim Victim, evicted bool) {
 // displaced.
 func (c *Cache) WritebackInto(addr uint64) (wasPresent, wasDirty bool, victim Victim, evicted bool) {
 	c.stats.Accesses++
-	c.useClock++
-	set, tag := c.index(addr)
-	base, tags := c.ways(set)
-	for i, t := range tags {
-		if t == tag {
-			c.stats.Hits++
-			wasDirty = c.dirty[base+i]
-			c.dirty[base+i] = true
-			c.lastUse[base+i] = c.useClock
-			return true, wasDirty, Victim{}, false
-		}
+	lines, key := c.set(addr)
+	if i := find(lines, key); i >= 0 {
+		c.stats.Hits++
+		return true, touch(lines, i, 1)&1 != 0, Victim{}, false
 	}
 	// A full-line writeback allocates without fetching from below.
 	c.stats.Misses++
-	victim, evicted = c.allocate(set, tag, true)
+	victim, evicted = c.insert(lines, key|1)
 	return false, false, victim, evicted
 }
 
-// allocate installs (set, tag), evicting the LRU way if necessary.
-func (c *Cache) allocate(set, tag uint64, dirty bool) (victim Victim, evicted bool) {
-	base, tags := c.ways(set)
-	lu := c.lastUse[base : base+len(tags)]
-	way, oldest, empty := 0, ^uint64(0), false
-	for i, t := range tags {
-		if t == invalidTag {
-			way, empty = i, true
-			break
-		}
-		if lu[i] < oldest {
-			oldest = lu[i]
-			way = i
-		}
+// insert puts word at the front of lines, shifting the rest down one
+// way; the word shifted out of the last way, if valid, is the victim.
+func (c *Cache) insert(lines []uint64, word uint64) (victim Victim, evicted bool) {
+	last := lines[len(lines)-1]
+	copy(lines[1:], lines[:len(lines)-1])
+	lines[0] = word
+	if last == emptyLine {
+		return Victim{}, false
 	}
-	if !empty {
-		vDirty := c.dirty[base+way]
-		c.stats.Evictions++
-		if vDirty {
-			c.stats.Writebacks++
-		}
-		victim = Victim{Addr: c.reconstruct(set, tags[way]), Dirty: vDirty}
-		evicted = true
+	c.stats.Evictions++
+	if last&1 != 0 {
+		c.stats.Writebacks++
 	}
-	tags[way] = tag
-	c.dirty[base+way] = dirty
-	c.lastUse[base+way] = c.useClock
-	return victim, evicted
-}
-
-// reconstruct rebuilds a block address from set+tag.
-func (c *Cache) reconstruct(set, tag uint64) uint64 {
-	// tag here is the full block address (index() keeps all block bits
-	// in the tag), so reconstruction is just a shift.
-	_ = set
-	return tag << c.lineBits
-}
-
-// Flush invalidates every line, returning the dirty ones so the caller
-// can drain them (used at simulation end to account in-flight dirt).
-func (c *Cache) Flush() []Victim {
-	var dirty []Victim
-	for set := 0; set < c.nsets; set++ {
-		base, tags := c.ways(uint64(set))
-		for i, t := range tags {
-			if t != invalidTag && c.dirty[base+i] {
-				dirty = append(dirty, Victim{Addr: c.reconstruct(uint64(set), t), Dirty: true})
-			}
-			tags[i] = invalidTag
-			c.dirty[base+i] = false
-			c.lastUse[base+i] = 0
-		}
-	}
-	return dirty
+	return Victim{Addr: last >> 1 << c.lineBits, Dirty: last&1 != 0}, true
 }

@@ -125,18 +125,6 @@ func TestWritebackInto(t *testing.T) {
 	}
 }
 
-func TestFill(t *testing.T) {
-	c := New(tinyConfig())
-	c.Fill(0)
-	if hit, _, _ := c.Access(0, Load); !hit {
-		t.Error("filled line missing")
-	}
-	// Fill doesn't count as demand access.
-	if c.Stats().Accesses != 1 {
-		t.Errorf("accesses = %d, want 1", c.Stats().Accesses)
-	}
-}
-
 func TestVictimAddressReconstruction(t *testing.T) {
 	c := New(tinyConfig())
 	f := func(raw uint32) bool {
@@ -153,25 +141,6 @@ func TestVictimAddressReconstruction(t *testing.T) {
 		t.Error(err)
 	}
 	_ = c
-}
-
-func TestFlush(t *testing.T) {
-	c := New(tinyConfig())
-	c.Access(0, Store)
-	c.Access(64, Load)
-	c.Access(128, Store)
-	dirty := c.Flush()
-	if len(dirty) != 2 {
-		t.Fatalf("flushed %d dirty lines, want 2", len(dirty))
-	}
-	for _, v := range dirty {
-		if v.Addr != 0 && v.Addr != 128 {
-			t.Errorf("unexpected dirty line %#x", v.Addr)
-		}
-	}
-	if hit, _, _ := c.Access(0, Load); hit {
-		t.Error("flush did not invalidate")
-	}
 }
 
 func TestLookupDoesNotDisturb(t *testing.T) {

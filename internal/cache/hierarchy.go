@@ -239,36 +239,3 @@ func (h *Hierarchy) memWrite(addr uint64, r *Result) {
 		r.NumMemWrites++
 	}
 }
-
-// FlushDirty drains every dirty line in the hierarchy toward memory,
-// returning the block addresses that would be written to PCM. Used at
-// simulation end so short runs don't hide in-cache dirt from wear
-// accounting.
-func (h *Hierarchy) FlushDirty() []uint64 {
-	var mem []uint64
-	// L1 dirt merges into L2, L2 into LLC, LLC to memory — but since
-	// everything is being flushed anyway, each dirty line surfaces as
-	// one memory write, deduplicated by block address.
-	seen := map[uint64]bool{}
-	add := func(addr uint64) {
-		if !seen[addr] {
-			seen[addr] = true
-			mem = append(mem, addr)
-		}
-	}
-	for core := 0; core < h.cfg.Cores; core++ {
-		for _, v := range h.l1d[core].Flush() {
-			add(v.Addr)
-		}
-		for _, v := range h.l1i[core].Flush() {
-			add(v.Addr)
-		}
-		for _, v := range h.l2[core].Flush() {
-			add(v.Addr)
-		}
-	}
-	for _, v := range h.llc.Flush() {
-		add(v.Addr)
-	}
-	return mem
-}

@@ -191,24 +191,6 @@ func TestMPKIAccounting(t *testing.T) {
 	}
 }
 
-func TestFlushDirty(t *testing.T) {
-	h := smallHierarchy(t)
-	h.Access(0, 0, Store, false)
-	h.Access(1, 4096, Store, false)
-	h.Access(0, 8192, Load, false)
-	dirty := h.FlushDirty()
-	if len(dirty) != 2 {
-		t.Fatalf("flushed %d dirty blocks, want 2: %v", len(dirty), dirty)
-	}
-	seen := map[uint64]bool{}
-	for _, a := range dirty {
-		seen[a] = true
-	}
-	if !seen[0] || !seen[4096] {
-		t.Errorf("flushed addresses %v, want 0 and 4096", dirty)
-	}
-}
-
 func TestLevelString(t *testing.T) {
 	for l, want := range map[Level]string{InL1: "L1", InL2: "L2", InLLC: "LLC", InMemory: "memory"} {
 		if l.String() != want {

@@ -7,12 +7,12 @@ const (
 	snapHierSection  = 0x4348 // "CH"
 )
 
-// Snapshot writes one level's complete tag/dirty/LRU state. Line flags
-// pack into one byte; tags and LRU stamps are fixed-width, so a given
-// cache state always encodes to the same bytes.
+// Snapshot writes one level's counters, geometry and line words. The
+// words are the live encoding (block<<1 | dirty, MRU first, emptyLine
+// for an empty way), so a given cache state always encodes to the same
+// bytes.
 func (c *Cache) Snapshot(w *snapshot.Writer) {
 	w.Section(snapLevelSection)
-	w.U64(c.useClock)
 	w.U64(c.stats.Accesses)
 	w.U64(c.stats.Hits)
 	w.U64(c.stats.Misses)
@@ -20,29 +20,15 @@ func (c *Cache) Snapshot(w *snapshot.Writer) {
 	w.U64(c.stats.Writebacks)
 	w.U32(uint32(c.nsets))
 	w.U32(uint32(c.cfg.Ways))
-	// Invalid ways encode as all-zero (flags 0, tag 0, stamp 0), exactly
-	// as the former padded-struct layout serialized them, so the blob
-	// stays byte-identical across the storage-layout change.
-	for i, t := range c.tags {
-		var flags uint8
-		if t != invalidTag {
-			flags |= 1
-		} else {
-			t = 0
-		}
-		if c.dirty[i] {
-			flags |= 2
-		}
-		w.U8(flags)
-		w.U64(t)
-		w.U64(c.lastUse[i])
-	}
+	w.U64s(c.lines)
 }
 
 // Restore loads state written by Snapshot into a same-geometry level.
+// It rejects line words the live encoding cannot produce: a block that
+// does not map to the set it sits in (or lies beyond a 64-bit address),
+// the same block twice in one set, and a valid word after an empty one.
 func (c *Cache) Restore(r *snapshot.Reader) {
 	r.Section(snapLevelSection)
-	c.useClock = r.U64()
 	c.stats.Accesses = r.U64()
 	c.stats.Hits = r.U64()
 	c.stats.Misses = r.U64()
@@ -56,17 +42,25 @@ func (c *Cache) Restore(r *snapshot.Reader) {
 		r.Fail("cache %s: snapshot has %d ways, live cache %d", c.cfg.Name, ways, c.cfg.Ways)
 		return
 	}
-	for i := range c.tags {
-		flags := r.U8()
-		tag := r.U64()
-		if flags&1 == 0 {
-			tag = invalidTag
-		}
-		c.tags[i] = tag
-		c.dirty[i] = flags&2 != 0
-		c.lastUse[i] = r.U64()
-		if r.Err() != nil {
-			return
+	r.U64s(c.lines)
+	if r.Err() != nil {
+		return
+	}
+	for set := 0; set < c.nsets; set++ {
+		lines := c.lines[set*c.cfg.Ways : (set+1)*c.cfg.Ways]
+		for i, w := range lines {
+			switch blk := w >> 1; {
+			case w == emptyLine:
+			case i > 0 && lines[i-1] == emptyLine:
+				r.Fail("cache %s: set %d has a valid line after an empty way", c.cfg.Name, set)
+				return
+			case blk&c.setMask != uint64(set) || blk>>(64-c.lineBits) != 0:
+				r.Fail("cache %s: block %#x does not belong in set %d", c.cfg.Name, blk, set)
+				return
+			case find(lines[:i], w&^1) >= 0:
+				r.Fail("cache %s: block %#x appears twice in set %d", c.cfg.Name, blk, set)
+				return
+			}
 		}
 	}
 }

@@ -24,6 +24,7 @@ package dram
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 
 	"rrmpcm/internal/pcm"
@@ -102,8 +103,11 @@ func (c DeviceConfig) Validate() error {
 	if c.TRFC > 0 && c.TREFI <= c.TRFC {
 		return fmt.Errorf("dram: tREFI %v must exceed tRFC %v", c.TREFI, c.TRFC)
 	}
-	if c.ReadEnergyJ < 0 || c.WriteEnergyJ < 0 {
-		return fmt.Errorf("dram: negative access energy")
+	// Float range checks are negated so that NaN, which fails every
+	// comparison, fails them too.
+	if !(c.ReadEnergyJ >= 0) || math.IsInf(c.ReadEnergyJ, 1) || !(c.WriteEnergyJ >= 0) || math.IsInf(c.WriteEnergyJ, 1) {
+		return fmt.Errorf("dram: access energy (ReadEnergyJ %g, WriteEnergyJ %g) must be finite and >= 0",
+			c.ReadEnergyJ, c.WriteEnergyJ)
 	}
 	return nil
 }
@@ -207,8 +211,8 @@ func (c HybridConfig) Validate(dev pcm.DeviceConfig) error {
 	if uint64(m.DemoteBatch) > pages {
 		return fmt.Errorf("dram: demote batch %d exceeds capacity of %d pages", m.DemoteBatch, pages)
 	}
-	if m.DirtyHighWater <= 0 || m.DirtyHighWater > 1 {
-		return fmt.Errorf("dram: dirty high water %v out of (0, 1]", m.DirtyHighWater)
+	if !(m.DirtyHighWater > 0 && m.DirtyHighWater <= 1) {
+		return fmt.Errorf("dram: DirtyHighWater %v out of (0, 1]", m.DirtyHighWater)
 	}
 	return nil
 }

@@ -31,8 +31,9 @@ import (
 // stale disk snapshots from older builds stop matching.
 // History: v4 sim snapshot format 4 (shard-mailbox section); v5 sim
 // snapshot format 5 (no per-region wear list); v6 sim snapshot format 6
-// (no shard-mailbox section).
-const warmHashVersion = "rrmpcm-warm-v6"
+// (no shard-mailbox section); v7 sim snapshot format 7 (one word per
+// cache line).
+const warmHashVersion = "rrmpcm-warm-v7"
 
 // warmImage is the warmup-relevant prefix of a config: hashImage minus
 // the knobs that only matter after the warmup boundary (Duration,

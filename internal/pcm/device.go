@@ -2,6 +2,7 @@ package pcm
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 )
 
@@ -67,9 +68,13 @@ func (c DeviceConfig) Validate() error {
 	if c.MemBytes < minMem {
 		return fmt.Errorf("pcm: memory %d smaller than one row per bank (%d)", c.MemBytes, minMem)
 	}
-	if c.EnduranceWrites <= 0 || c.WearLevelEfficiency <= 0 || c.WearLevelEfficiency > 1 {
-		return fmt.Errorf("pcm: endurance %g / wear-level efficiency %g out of range",
-			c.EnduranceWrites, c.WearLevelEfficiency)
+	// Float range checks are negated so that NaN, which fails every
+	// comparison, fails them too.
+	if !(c.EnduranceWrites > 0) || math.IsInf(c.EnduranceWrites, 1) {
+		return fmt.Errorf("pcm: EnduranceWrites %g must be finite and > 0", c.EnduranceWrites)
+	}
+	if !(c.WearLevelEfficiency > 0 && c.WearLevelEfficiency <= 1) {
+		return fmt.Errorf("pcm: WearLevelEfficiency %g out of (0,1]", c.WearLevelEfficiency)
 	}
 	return nil
 }

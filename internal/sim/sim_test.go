@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"rrmpcm/internal/core"
+	"rrmpcm/internal/dram"
 	"rrmpcm/internal/pcm"
 	"rrmpcm/internal/timing"
 	"rrmpcm/internal/trace"
@@ -78,6 +79,50 @@ func TestConfigValidationNonFinite(t *testing.T) {
 		}
 		if _, err := New(cfg); err == nil {
 			t.Errorf("%s: New accepted the config", tc.field)
+		}
+	}
+}
+
+// TestNestedConfigValidationNonFinite sets each float field of the
+// nested device, DRAM-tier and workload configs in turn to NaN, +Inf and
+// -Inf: Validate must reject every one with an error naming the field.
+func TestNestedConfigValidationNonFinite(t *testing.T) {
+	withHybrid := func(c *Config) *dram.HybridConfig {
+		hc := dram.DefaultHybridConfig()
+		c.Hybrid = &hc
+		return c.Hybrid
+	}
+	fields := []struct {
+		field string
+		set   func(c *Config, v float64)
+	}{
+		{"EnduranceWrites", func(c *Config, v float64) { c.Device.EnduranceWrites = v }},
+		{"WearLevelEfficiency", func(c *Config, v float64) { c.Device.WearLevelEfficiency = v }},
+		{"DirtyHighWater", func(c *Config, v float64) { withHybrid(c).Migration.DirtyHighWater = v }},
+		{"ReadEnergyJ", func(c *Config, v float64) { withHybrid(c).DRAM.ReadEnergyJ = v }},
+		{"WriteEnergyJ", func(c *Config, v float64) { withHybrid(c).DRAM.WriteEnergyJ = v }},
+		{"MemFraction", func(c *Config, v float64) { c.Workload.Cores[0].MemFraction = v }},
+		{"StoreFraction", func(c *Config, v float64) { c.Workload.Cores[0].StoreFraction = v }},
+		{"BaseCPI", func(c *Config, v float64) { c.Workload.Cores[0].BaseCPI = v }},
+		{"HotLoadFrac", func(c *Config, v float64) { c.Workload.Cores[0].HotLoadFrac = v }},
+		{"StreamLoadFrac", func(c *Config, v float64) { c.Workload.Cores[0].StreamLoadFrac = v }},
+		{"HotStoreFrac", func(c *Config, v float64) { c.Workload.Cores[0].HotStoreFrac = v }},
+		{"StreamStoreFrac", func(c *Config, v float64) { c.Workload.Cores[0].StreamStoreFrac = v }},
+		{"HotSkew", func(c *Config, v float64) { c.Workload.Cores[0].HotSkew = v }},
+		{"MinLoad", func(c *Config, v float64) {
+			c.Workload.Dynamics = &trace.Dynamics{Diurnal: &trace.Diurnal{PeriodOps: 1 << 20, MinLoad: v}}
+		}},
+		{"OffLoad", func(c *Config, v float64) {
+			c.Workload.Dynamics = &trace.Dynamics{Burst: &trace.Burst{OnOps: 1000, OffOps: 1000, OffLoad: v}}
+		}},
+	}
+	for _, f := range fields {
+		for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+			cfg := quickConfig(t, RRMScheme(), "hmmer")
+			f.set(&cfg, v)
+			if err := cfg.Validate(); err == nil || !strings.Contains(err.Error(), f.field) {
+				t.Errorf("%s = %v: Validate = %v, want an error naming the field", f.field, v, err)
+			}
 		}
 	}
 }
@@ -431,9 +476,10 @@ func TestRefreshRateBookkeepingUnderTimeScale(t *testing.T) {
 // TestNewAllocBudget: building the default RRM GemsFDTD system must stay
 // cheap. Every sampled window fork and every detailed run pays for New,
 // so a dense per-address array (one entry per 4 KB region of the 8 GB
-// device is 8 MiB) must not creep back in unnoticed.
+// device is 8 MiB) must not creep back in unnoticed. The cache
+// hierarchy's line words (one uint64 per line, ~0.95 MB) are most of it.
 func TestNewAllocBudget(t *testing.T) {
-	const budget = 4 << 20
+	const budget = 2 << 20
 	w, err := trace.WorkloadByName("GemsFDTD")
 	if err != nil {
 		t.Fatal(err)

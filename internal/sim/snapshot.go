@@ -28,11 +28,14 @@ import (
 // per-kind, per-mode and per-bank counts).
 // v6 drops the v4 shard-mailbox count (always 0) with the sharded
 // engine it served.
+// v7 encodes each cache line as one word (block<<1 | dirty, each set
+// in recency order) and drops the per-line flags byte, LRU stamps and
+// per-level use clock.
 // engine.warmHashVersion was bumped alongside each, so older blobs are
 // never looked up, let alone misparsed.
 const (
 	sysSnapMagic   uint32 = 0x52524D53 // "RRMS"
-	sysSnapVersion uint16 = 6
+	sysSnapVersion uint16 = 7
 )
 
 // Snapshot serializes a warmed system (after Warmup, before Measure).
@@ -118,6 +121,9 @@ func (s *System) Restore(blob []byte) error {
 	r, err := snapshot.NewReader(blob, sysSnapMagic, sysSnapVersion)
 	if err != nil {
 		return err
+	}
+	if v := r.Version(); v != sysSnapVersion {
+		return fmt.Errorf("sim: snapshot format v%d, this build reads only v%d", v, sysSnapVersion)
 	}
 	warm := timing.Time(r.I64())
 	if n := r.U32(); r.Err() == nil && int(n) != len(s.cores) {

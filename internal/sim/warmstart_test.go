@@ -3,9 +3,13 @@ package sim
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"encoding/json"
+	"fmt"
+	"strings"
 	"testing"
 
+	"rrmpcm/internal/snapshot"
 	"rrmpcm/internal/timing"
 	"rrmpcm/internal/trace"
 )
@@ -147,6 +151,37 @@ func TestSnapshotRejectsCorruption(t *testing.T) {
 		if err := sys.Restore(bad); err == nil {
 			t.Fatalf("corruption at byte %d accepted", i)
 		}
+	}
+}
+
+// TestRestoreRejectsOldFormat: a blob whose header names an older
+// format version is rejected by version, before any section is parsed,
+// even when its checksum is valid.
+func TestRestoreRejectsOldFormat(t *testing.T) {
+	w, err := trace.WorkloadByName("GemsFDTD")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := goldenConfig(RRMScheme(), w)
+	blob := snapshotWarm(t, cfg)
+	old := append([]byte(nil), blob...)
+	binary.LittleEndian.PutUint16(old[4:], sysSnapVersion-1) // after the u32 magic
+	body := old[:len(old)-8]
+	binary.LittleEndian.PutUint64(old[len(body):], snapshot.Checksum(body))
+	sys, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := fmt.Sprintf("v%d", sysSnapVersion-1)
+	if err := sys.Restore(old); err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("Restore of a %s blob = %v, want a version error", want, err)
+	}
+	sys, err = New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.Restore(blob); err != nil {
+		t.Fatalf("Restore of the unmodified blob: %v", err)
 	}
 }
 

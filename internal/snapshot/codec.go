@@ -17,6 +17,7 @@
 package snapshot
 
 import (
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"math"
@@ -79,6 +80,17 @@ func (w *Writer) U64(v uint64) {
 		byte(v>>32), byte(v>>40), byte(v>>48), byte(v>>56))
 }
 
+// U64s writes each element of v as U64 would, without a length prefix:
+// the reader must already know how many follow.
+func (w *Writer) U64s(v []uint64) {
+	n := len(w.buf)
+	w.buf = append(w.buf, make([]byte, 8*len(v))...)
+	b := w.buf[n:]
+	for i, x := range v {
+		binary.LittleEndian.PutUint64(b[8*i:], x)
+	}
+}
+
 // I64 writes an int64 (two's complement).
 func (w *Writer) I64(v int64) { w.U64(uint64(v)) }
 
@@ -117,9 +129,10 @@ func (w *Writer) JSON(v any) error {
 // Reader decodes a snapshot produced by Writer. All reads are
 // bounds-checked; the first failure sticks and is reported by Err.
 type Reader struct {
-	buf []byte
-	pos int
-	err error
+	buf     []byte
+	pos     int
+	err     error
+	version uint16
 }
 
 // NewReader validates the trailing checksum and the magic+version
@@ -140,11 +153,14 @@ func NewReader(blob []byte, magic uint32, wantVersion uint16) (*Reader, error) {
 	if m := r.U32(); m != magic {
 		return nil, fmt.Errorf("snapshot: bad magic %#x (want %#x)", m, magic)
 	}
-	if v := r.U16(); v > wantVersion {
-		return nil, fmt.Errorf("snapshot: format version %d newer than supported %d", v, wantVersion)
+	if r.version = r.U16(); r.version > wantVersion {
+		return nil, fmt.Errorf("snapshot: format version %d newer than supported %d", r.version, wantVersion)
 	}
 	return r, nil
 }
+
+// Version returns the format version read from the blob's header.
+func (r *Reader) Version() uint16 { return r.version }
 
 // Err returns the first decode error, or nil.
 func (r *Reader) Err() error { return r.err }
@@ -234,6 +250,18 @@ func (r *Reader) U64() uint64 {
 	}
 	return uint64(b[0]) | uint64(b[1])<<8 | uint64(b[2])<<16 | uint64(b[3])<<24 |
 		uint64(b[4])<<32 | uint64(b[5])<<40 | uint64(b[6])<<48 | uint64(b[7])<<56
+}
+
+// U64s fills dst with len(dst) values written by Writer.U64s. On a
+// short blob it fails and leaves dst unchanged.
+func (r *Reader) U64s(dst []uint64) {
+	b := r.take(8 * len(dst))
+	if b == nil {
+		return
+	}
+	for i := range dst {
+		dst[i] = binary.LittleEndian.Uint64(b[8*i:])
+	}
 }
 
 // I64 reads an int64.

@@ -179,3 +179,57 @@ func TestCountLimit(t *testing.T) {
 		t.Errorf("oversized count passed: n=%d err=%v", n, r.Err())
 	}
 }
+
+// TestU64s: the bulk helpers encode exactly as a run of U64 calls, and a
+// short blob fails without touching the destination.
+func TestU64s(t *testing.T) {
+	vals := []uint64{0, 1, math.MaxUint64, 0x0123456789ABCDEF}
+	bulk, single := NewWriter(0), NewWriter(0)
+	bulk.Header(testMagic, testVersion)
+	single.Header(testMagic, testVersion)
+	bulk.U64s(vals)
+	for _, v := range vals {
+		single.U64(v)
+	}
+	blob := bulk.Finish()
+	if !bytes.Equal(blob, single.Finish()) {
+		t.Fatal("U64s encodes differently from repeated U64")
+	}
+	r, err := NewReader(blob, testMagic, testVersion)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := make([]uint64, len(vals))
+	r.U64s(got)
+	if err := r.Done(); err != nil {
+		t.Fatal(err)
+	}
+	for i := range vals {
+		if got[i] != vals[i] {
+			t.Errorf("U64s[%d] = %#x, want %#x", i, got[i], vals[i])
+		}
+	}
+	r, _ = NewReader(blob, testMagic, testVersion)
+	long := []uint64{7, 7, 7, 7, 7}
+	r.U64s(long)
+	if r.Err() == nil {
+		t.Error("U64s past the end of the blob succeeded")
+	}
+	for _, v := range long {
+		if v != 7 {
+			t.Fatal("failed U64s wrote into its destination")
+		}
+	}
+}
+
+func TestReaderVersion(t *testing.T) {
+	w := NewWriter(0)
+	w.Header(testMagic, 2)
+	r, err := NewReader(w.Finish(), testMagic, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.Version() != 2 {
+		t.Errorf("Version = %d, want 2", r.Version())
+	}
+}

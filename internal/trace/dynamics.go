@@ -76,7 +76,8 @@ func (d *Dynamics) Validate() error {
 		if di.PeriodOps == 0 {
 			return fmt.Errorf("trace: diurnal period is zero ops")
 		}
-		if di.MinLoad <= 0 || di.MinLoad > 1 {
+		// Negated so that NaN fails the check too.
+		if !(di.MinLoad > 0 && di.MinLoad <= 1) {
 			return fmt.Errorf("trace: diurnal MinLoad %v out of (0,1]", di.MinLoad)
 		}
 	}
@@ -84,7 +85,7 @@ func (d *Dynamics) Validate() error {
 		if b.OnOps == 0 || b.OffOps == 0 {
 			return fmt.Errorf("trace: burst dwell means must be positive (on %d, off %d)", b.OnOps, b.OffOps)
 		}
-		if b.OffLoad <= 0 || b.OffLoad > 1 {
+		if !(b.OffLoad > 0 && b.OffLoad <= 1) {
 			return fmt.Errorf("trace: burst OffLoad %v out of (0,1]", b.OffLoad)
 		}
 	}

@@ -1,6 +1,9 @@
 package trace
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // Profile parameterizes one synthetic benchmark. The address stream is a
 // mixture of three components:
@@ -70,20 +73,24 @@ func (p Profile) Validate() error {
 	if p.Name == "" {
 		return fmt.Errorf("trace: empty profile name")
 	}
-	if p.MemFraction <= 0 || p.MemFraction >= 1 {
+	// Float range checks are negated so that NaN, which fails every
+	// comparison, fails them too.
+	if !(p.MemFraction > 0 && p.MemFraction < 1) {
 		return fmt.Errorf("trace %s: MemFraction %v out of (0,1)", p.Name, p.MemFraction)
 	}
-	if p.StoreFraction < 0 || p.StoreFraction > 1 {
-		return fmt.Errorf("trace %s: StoreFraction %v", p.Name, p.StoreFraction)
+	if !(p.StoreFraction >= 0 && p.StoreFraction <= 1) {
+		return fmt.Errorf("trace %s: StoreFraction %v out of [0,1]", p.Name, p.StoreFraction)
 	}
-	if p.BaseCPI <= 0 {
-		return fmt.Errorf("trace %s: BaseCPI %v", p.Name, p.BaseCPI)
+	if !(p.BaseCPI > 0) || math.IsInf(p.BaseCPI, 1) {
+		return fmt.Errorf("trace %s: BaseCPI %v must be finite and > 0", p.Name, p.BaseCPI)
 	}
-	if p.HotLoadFrac < 0 || p.StreamLoadFrac < 0 || p.HotLoadFrac+p.StreamLoadFrac > 1 {
-		return fmt.Errorf("trace %s: load mixture invalid", p.Name)
+	if !(p.HotLoadFrac >= 0 && p.StreamLoadFrac >= 0 && p.HotLoadFrac+p.StreamLoadFrac <= 1) {
+		return fmt.Errorf("trace %s: load mixture invalid (HotLoadFrac %v, StreamLoadFrac %v)",
+			p.Name, p.HotLoadFrac, p.StreamLoadFrac)
 	}
-	if p.HotStoreFrac < 0 || p.StreamStoreFrac < 0 || p.HotStoreFrac+p.StreamStoreFrac > 1 {
-		return fmt.Errorf("trace %s: store mixture invalid", p.Name)
+	if !(p.HotStoreFrac >= 0 && p.StreamStoreFrac >= 0 && p.HotStoreFrac+p.StreamStoreFrac <= 1) {
+		return fmt.Errorf("trace %s: store mixture invalid (HotStoreFrac %v, StreamStoreFrac %v)",
+			p.Name, p.HotStoreFrac, p.StreamStoreFrac)
 	}
 	if (p.HotLoadFrac > 0 || p.HotStoreFrac > 0) && p.HotRegions <= 0 {
 		return fmt.Errorf("trace %s: hot component without hot regions", p.Name)
@@ -94,8 +101,8 @@ func (p Profile) Validate() error {
 	if p.WorkingSetBytes == 0 {
 		return fmt.Errorf("trace %s: zero working set", p.Name)
 	}
-	if p.HotSkew < 1 {
-		return fmt.Errorf("trace %s: HotSkew %v must be >= 1", p.Name, p.HotSkew)
+	if !(p.HotSkew >= 1) || math.IsInf(p.HotSkew, 1) {
+		return fmt.Errorf("trace %s: HotSkew %v must be finite and >= 1", p.Name, p.HotSkew)
 	}
 	if p.HotBlockSpan < 0 || p.HotBlockSpan > 64 {
 		return fmt.Errorf("trace %s: HotBlockSpan %d", p.Name, p.HotBlockSpan)
@@ -265,6 +272,11 @@ func (w Workload) Validate() error {
 			if ref.Sum == 0 {
 				return fmt.Errorf("trace: workload %s replay stream %d has no content checksum", w.Name, i)
 			}
+		}
+	}
+	for _, p := range w.Cores {
+		if err := p.Validate(); err != nil {
+			return err
 		}
 	}
 	if w.Dynamics != nil {
