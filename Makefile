@@ -8,17 +8,8 @@
 #          sim/trace/tracefile paths its workers execute concurrently)
 #          plus the event queue, cache hierarchy, snapshot codec,
 #          memory controller and RRM core that every simulation runs
-#   bench  paper-artifact benchmarks (quick windows)
-#   bench-json
-#          hot-path component benchmarks -> BENCH_10.json (ns/op, B/op,
-#          allocs/op per benchmark, diffed against the recorded
-#          pre-optimization baseline; includes the cold/warm sweep pair,
-#          the trace generator/replay trio, the full-vs-sampled run
-#          pair whose ns/op ratio is the sampling speedup, and the
-#          hybrid DRAM hit/migration pair)
-#   bench-check
-#          CI perf gate: re-run the tracked benchmarks and fail on a
-#          >10% ns/op or any allocs/op regression vs BENCH_10.json
+#   bench  paper-artifact and hot-path benchmarks (quick windows), a
+#          profiling aid; the repo benchmark is perfbench/run.sh
 #   profile
 #          CPU+heap profile of a representative experiment pass
 #          (cpu.prof / mem.prof; inspect with `go tool pprof`)
@@ -34,15 +25,10 @@
 # sample-smoke runs one steady-state configuration in full and sampled
 # (8 windows, stride-16 fast-forward) and fails unless the sampled 95%
 # interval contains the full-run IPC and the sampled run is faster.
-#
-# cluster-smoke boots a coordinator and two workers as real processes,
-# SIGKILLs one worker mid-flight and fails unless every job completes
-# with zero duplicate simulations. cluster-load runs the acceptance
-# load harness (100k submissions through a 4-worker cluster, p99 gate).
 
 GO ?= go
 
-.PHONY: build vet test race bench bench-json bench-check profile ci serve-smoke replay-smoke sample-smoke cluster-smoke cluster-load
+.PHONY: build vet test race bench profile ci serve-smoke replay-smoke sample-smoke
 
 build:
 	$(GO) build ./...
@@ -54,16 +40,10 @@ test:
 	$(GO) test ./...
 
 race:
-	$(GO) test -race ./internal/cache/... ./internal/cluster/... ./internal/core/... ./internal/dram/... ./internal/engine/... ./internal/experiments/... ./internal/memctrl/... ./internal/reliability/... ./internal/sampling/... ./internal/server/... ./internal/sim/... ./internal/snapshot/... ./internal/stats/... ./internal/timing/... ./internal/trace/... ./internal/tracefile/...
+	$(GO) test -race ./internal/cache/... ./internal/core/... ./internal/dram/... ./internal/engine/... ./internal/experiments/... ./internal/memctrl/... ./internal/reliability/... ./internal/sampling/... ./internal/server/... ./internal/sim/... ./internal/snapshot/... ./internal/stats/... ./internal/timing/... ./internal/trace/... ./internal/tracefile/...
 
 bench:
 	$(GO) test -bench=. -benchmem -run='^$$' .
-
-bench-json:
-	GO="$(GO)" ./scripts/bench_json.sh BENCH_10.json
-
-bench-check:
-	GO="$(GO)" ./scripts/bench_check.sh
 
 profile:
 	$(GO) run ./cmd/experiments -quick -run table7 -warm-start \
@@ -78,11 +58,5 @@ replay-smoke:
 
 sample-smoke:
 	GO="$(GO)" ./scripts/sample_smoke.sh
-
-cluster-smoke:
-	GO="$(GO)" ./scripts/cluster_smoke.sh
-
-cluster-load:
-	GO="$(GO)" ./scripts/cluster_load.sh
 
 ci: build vet test race

@@ -494,9 +494,9 @@ func sampledBenchConfig(b *testing.B) Config {
 // BenchmarkFullRun / BenchmarkSampledRun are the headline pair for the
 // sampling executor: identical configs, one simulated cycle by cycle,
 // the other through eight 100 us detailed windows with stride-16
-// functional fast-forward between them. The ns/op ratio is the recorded
-// speedup in BENCH_8.json; internal/sampling/validate_test.go proves
-// the sampled intervals still contain the full-run metrics.
+// functional fast-forward between them. The ns/op ratio is the
+// sampling speedup; internal/sampling/validate_test.go proves the
+// sampled intervals still contain the full-run metrics.
 func BenchmarkFullRun(b *testing.B) {
 	cfg := sampledBenchConfig(b)
 	b.ReportAllocs()

@@ -1,19 +1,14 @@
 // Command rrmserve is the HTTP simulation service: submit RRM
 // simulation jobs over JSON, follow their progress as SSE/NDJSON
-// streams, fetch results, and scrape Prometheus metrics. It runs
-// standalone, as a cluster worker, or as the cluster coordinator.
+// streams, fetch results, and scrape Prometheus metrics.
 //
 // Usage:
 //
 //	rrmserve [-addr :8321] [-queue 64] [-workers N] [-cache-dir dir]
 //	         [-trace-dir dir] [-warm-start] [-pprof] [-job-timeout d]
 //	         [-request-timeout 30s] [-drain-timeout 30s] [-version]
-//	rrmserve -join http://coord:8320 [-advertise URL] [-worker-id id]
-//	         [-artifact-dir dir] [-heartbeat 1s] [...worker flags]
-//	rrmserve -coordinator [-addr :8320] [-artifact-dir dir]
-//	         [-heartbeat-ttl 5s] [-reconcile 500ms] [-vnodes 64]
 //
-// Endpoints (standalone and worker):
+// Endpoints:
 //
 //	POST /api/v1/jobs              submit {"scheme":"rrm","workload":"GemsFDTD","quick":true},
 //	                               a full {"config":{...}} document, or a multi-tenant
@@ -27,27 +22,16 @@
 //	GET  /api/v1/workloads         submittable workloads
 //	GET  /api/v1/schemes           submittable schemes
 //	GET  /metrics                  Prometheus text exposition
-//	GET  /healthz                  readiness (503 while draining/deregistered)
+//	GET  /healthz                  readiness (503 while draining)
 //	GET  /livez                    liveness (200 while the process answers)
 //	GET  /debug/pprof/             Go profiling endpoints (with -pprof only)
-//
-// The coordinator serves the same job API (proxied to workers by config
-// hash), plus /api/v1/cluster/{join,heartbeat,leave,workers}.
-//
-// -artifact-dir points both tiers at the shared content-addressed
-// store: workers read and write finished runs (and, with -warm-start,
-// warm snapshots) there, and the coordinator answers result reads from
-// it when no live worker remembers a job. On one machine a shared
-// directory works as-is; across machines, mount the same path on all
-// nodes.
 //
 // -warm-start shares simulation warmup across jobs whose configs differ
 // only in post-warmup knobs; with -cache-dir, warm snapshots persist
 // under <cache-dir>/snapshots. Results are bit-identical either way.
 //
-// SIGINT/SIGTERM triggers a graceful drain: the worker deregisters from
-// its coordinator (new work re-routes), intake stops (503), queued and
-// running jobs finish, and only after -drain-timeout are in-flight
+// SIGINT/SIGTERM triggers a graceful drain: intake stops (503), queued
+// and running jobs finish, and only after -drain-timeout are in-flight
 // simulations cancelled.
 package main
 
@@ -61,13 +45,10 @@ import (
 	"net/http/pprof"
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
 	"time"
 
 	"rrmpcm/internal/buildinfo"
-	"rrmpcm/internal/cluster"
-	"rrmpcm/internal/cluster/artifact"
 	"rrmpcm/internal/server"
 )
 
@@ -83,16 +64,6 @@ func main() {
 	reqTimeout := flag.Duration("request-timeout", 30*time.Second, "non-streaming request timeout")
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "shutdown drain budget before in-flight jobs are cancelled")
 	version := flag.Bool("version", false, "print build information and exit")
-
-	coordinator := flag.Bool("coordinator", false, "run as the cluster coordinator instead of a simulation worker")
-	join := flag.String("join", "", "coordinator base URL to join as a worker (empty = standalone)")
-	advertise := flag.String("advertise", "", "base URL the coordinator proxies jobs to (default http://127.0.0.1<addr>)")
-	workerID := flag.String("worker-id", "", "stable worker identity on the hash ring (default <hostname><addr>)")
-	artifactDir := flag.String("artifact-dir", "", "shared content-addressed artifact store root (runs + snapshots)")
-	heartbeat := flag.Duration("heartbeat", time.Second, "worker heartbeat interval")
-	heartbeatTTL := flag.Duration("heartbeat-ttl", 5*time.Second, "coordinator: heartbeat age after which a worker is lost")
-	reconcile := flag.Duration("reconcile", 500*time.Millisecond, "coordinator: control-loop interval")
-	vnodes := flag.Int("vnodes", 64, "coordinator: consistent-hash virtual nodes per worker")
 	flag.Parse()
 
 	if *version {
@@ -100,107 +71,26 @@ func main() {
 		return
 	}
 
-	var store artifact.Store
-	if *artifactDir != "" {
-		disk, err := artifact.OpenDisk(*artifactDir)
-		if err != nil {
-			log.Fatalf("rrmserve: artifact store: %v", err)
-		}
-		store = disk
-	}
-
-	if *coordinator {
-		runCoordinator(coordinatorConfig{
-			addr: *addr, pprofOn: *pprofOn, store: store,
-			heartbeatTTL: *heartbeatTTL, reconcile: *reconcile,
-			vnodes: *vnodes, proxyTimeout: *reqTimeout, drainTimeout: *drainTimeout,
-		})
-		return
-	}
-
-	runWorker(workerConfig{
-		addr: *addr, queue: *queue, workers: *workers, cacheDir: *cacheDir, traceDir: *traceDir,
-		warmStart: *warmStart, pprofOn: *pprofOn, store: store,
-		jobTimeout: *jobTimeout, reqTimeout: *reqTimeout, drainTimeout: *drainTimeout,
-		join: *join, advertise: *advertise, workerID: *workerID, heartbeat: *heartbeat,
+	srv, err := server.New(server.Options{
+		QueueSize:      *queue,
+		Workers:        *workers,
+		CacheDir:       *cacheDir,
+		TraceDir:       *traceDir,
+		JobTimeout:     *jobTimeout,
+		RequestTimeout: *reqTimeout,
+		WarmStart:      *warmStart,
 	})
-}
-
-type workerConfig struct {
-	addr         string
-	queue        int
-	workers      int
-	cacheDir     string
-	traceDir     string
-	warmStart    bool
-	pprofOn      bool
-	store        artifact.Store
-	jobTimeout   time.Duration
-	reqTimeout   time.Duration
-	drainTimeout time.Duration
-	join         string
-	advertise    string
-	workerID     string
-	heartbeat    time.Duration
-}
-
-func runWorker(cfg workerConfig) {
-	opt := server.Options{
-		QueueSize:      cfg.queue,
-		Workers:        cfg.workers,
-		CacheDir:       cfg.cacheDir,
-		TraceDir:       cfg.traceDir,
-		JobTimeout:     cfg.jobTimeout,
-		RequestTimeout: cfg.reqTimeout,
-		WarmStart:      cfg.warmStart,
-	}
-	if cfg.store != nil {
-		// The shared store replaces the private disk cache so any worker
-		// serves any result (and warm snapshot) computed anywhere.
-		opt.Cache = artifact.RunCache{S: cfg.store}
-		opt.Snapshots = artifact.SnapshotStore{S: cfg.store}
-	}
-	srv, err := server.New(opt)
 	if err != nil {
 		log.Fatalf("rrmserve: %v", err)
 	}
 
-	httpSrv := &http.Server{Addr: cfg.addr, Handler: withPprof(srv.Handler(), cfg.pprofOn)}
+	httpSrv := &http.Server{Addr: *addr, Handler: withPprof(srv.Handler(), *pprofOn)}
 	errCh := make(chan error, 1)
 	go func() {
 		log.Printf("rrmserve %s listening on %s (queue %d, cache %q)",
-			buildinfo.Version(), cfg.addr, cfg.queue, cfg.cacheDir)
+			buildinfo.Version(), *addr, *queue, *cacheDir)
 		errCh <- httpSrv.ListenAndServe()
 	}()
-
-	var agent *cluster.Agent
-	if cfg.join != "" {
-		id := cfg.workerID
-		if id == "" {
-			host, _ := os.Hostname()
-			if host == "" {
-				host = "worker"
-			}
-			id = host + cfg.addr
-		}
-		adv := cfg.advertise
-		if adv == "" {
-			adv = "http://127.0.0.1" + cfg.addr
-			if !strings.HasPrefix(cfg.addr, ":") {
-				adv = "http://" + cfg.addr
-			}
-		}
-		agent, err = cluster.StartAgent(srv, cluster.AgentOptions{
-			Coordinator: strings.TrimRight(cfg.join, "/"),
-			ID:          id,
-			Advertise:   adv,
-			Interval:    cfg.heartbeat,
-			Logf:        log.Printf,
-		})
-		if err != nil {
-			log.Fatalf("rrmserve: %v", err)
-		}
-	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
@@ -210,16 +100,9 @@ func runWorker(cfg workerConfig) {
 	case <-ctx.Done():
 	}
 
-	log.Printf("rrmserve: draining (budget %s)", cfg.drainTimeout)
-	drainCtx, cancel := context.WithTimeout(context.Background(), cfg.drainTimeout)
+	log.Printf("rrmserve: draining (budget %s)", *drainTimeout)
+	drainCtx, cancel := context.WithTimeout(context.Background(), *drainTimeout)
 	defer cancel()
-	if agent != nil {
-		// Deregister first so the coordinator re-routes new work before
-		// intake closes.
-		if err := agent.Close(drainCtx); err != nil {
-			log.Printf("rrmserve: cluster leave: %v", err)
-		}
-	}
 	if err := httpSrv.Shutdown(drainCtx); err != nil {
 		log.Printf("rrmserve: http shutdown: %v", err)
 	}
@@ -228,53 +111,6 @@ func runWorker(cfg workerConfig) {
 	} else {
 		log.Printf("rrmserve: drained cleanly")
 	}
-	if err := <-errCh; err != nil && !errors.Is(err, http.ErrServerClosed) {
-		log.Printf("rrmserve: %v", err)
-	}
-}
-
-type coordinatorConfig struct {
-	addr         string
-	pprofOn      bool
-	store        artifact.Store
-	heartbeatTTL time.Duration
-	reconcile    time.Duration
-	vnodes       int
-	proxyTimeout time.Duration
-	drainTimeout time.Duration
-}
-
-func runCoordinator(cfg coordinatorConfig) {
-	coord := cluster.NewCoordinator(cluster.CoordinatorOptions{
-		HeartbeatTTL:      cfg.heartbeatTTL,
-		ReconcileInterval: cfg.reconcile,
-		VNodes:            cfg.vnodes,
-		Artifacts:         cfg.store,
-		ProxyTimeout:      cfg.proxyTimeout,
-	})
-	httpSrv := &http.Server{Addr: cfg.addr, Handler: withPprof(coord.Handler(), cfg.pprofOn)}
-	errCh := make(chan error, 1)
-	go func() {
-		log.Printf("rrmserve %s coordinating on %s (heartbeat TTL %s)",
-			buildinfo.Version(), cfg.addr, cfg.heartbeatTTL)
-		errCh <- httpSrv.ListenAndServe()
-	}()
-
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	select {
-	case err := <-errCh:
-		log.Fatalf("rrmserve: %v", err)
-	case <-ctx.Done():
-	}
-
-	log.Printf("rrmserve: coordinator stopping")
-	drainCtx, cancel := context.WithTimeout(context.Background(), cfg.drainTimeout)
-	defer cancel()
-	if err := httpSrv.Shutdown(drainCtx); err != nil {
-		log.Printf("rrmserve: http shutdown: %v", err)
-	}
-	coord.Close()
 	if err := <-errCh; err != nil && !errors.Is(err, http.ErrServerClosed) {
 		log.Printf("rrmserve: %v", err)
 	}

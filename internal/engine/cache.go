@@ -8,6 +8,7 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+	"strings"
 
 	"rrmpcm/internal/sim"
 	"rrmpcm/internal/snapshot"
@@ -47,11 +48,10 @@ type cacheEntry struct {
 // garbage.
 const cacheTrailerPrefix = "\n#fnv1a:"
 
-// EncodeRunEntry serializes one finished run into the run cache's
+// encodeRunEntry serializes one finished run into the run cache's
 // on-disk format: the JSON envelope followed by the FNV-1a integrity
-// trailer. It is exported so shared artifact stores can write entries
-// byte-identical to a local RunCache's.
-func EncodeRunEntry(key string, m sim.Metrics) ([]byte, error) {
+// trailer.
+func encodeRunEntry(key string, m sim.Metrics) ([]byte, error) {
 	blob, err := json.MarshalIndent(cacheEntry{
 		Format:   cacheFormat,
 		Key:      key,
@@ -65,12 +65,12 @@ func EncodeRunEntry(key string, m sim.Metrics) ([]byte, error) {
 	return append(blob, []byte(fmt.Sprintf("%s%016x\n", cacheTrailerPrefix, snapshot.Checksum(blob)))...), nil
 }
 
-// DecodeRunEntry parses a run-cache blob for key. A corrupt, torn,
+// decodeRunEntry parses a run-cache blob for key. A corrupt, torn,
 // format-incompatible or mis-keyed entry is a miss (ok=false), never an
 // error: the caller recomputes. Legacy entries without the integrity
 // trailer still decode; when a trailer is present its checksum must
 // match.
-func DecodeRunEntry(key string, blob []byte) (sim.Metrics, bool) {
+func decodeRunEntry(key string, blob []byte) (sim.Metrics, bool) {
 	if i := bytes.LastIndex(blob, []byte(cacheTrailerPrefix)); i >= 0 {
 		var sum uint64
 		if n, err := fmt.Sscanf(string(blob[i+len(cacheTrailerPrefix):]), "%016x", &sum); n != 1 || err != nil {
@@ -91,10 +91,10 @@ func DecodeRunEntry(key string, blob []byte) (sim.Metrics, bool) {
 // ResultCache is the engine's seam onto finished-run storage: Load
 // answers "has this config hash already been simulated" and Store
 // persists a fresh result under its hash. RunCache is the local-disk
-// implementation; the cluster's shared artifact store provides another,
-// so any worker can serve any result computed anywhere. Implementations
-// must be safe for concurrent use; Load must report a missing entry as
-// (ok=false, nil error) and reserve errors for real I/O failures.
+// implementation; benchmarks and tests substitute in-memory stores.
+// Implementations must be safe for concurrent use; Load must report a
+// missing entry as (ok=false, nil error) and reserve errors for real
+// I/O failures.
 type ResultCache interface {
 	Load(key string) (sim.Metrics, bool, error)
 	Store(key string, m sim.Metrics) error
@@ -123,46 +123,28 @@ func OpenRunCache(dir string) (*RunCache, error) {
 // Dir returns the cache's root directory.
 func (c *RunCache) Dir() string { return c.dir }
 
-func (c *RunCache) path(key string) string {
-	return filepath.Join(c.dir, key+".json")
-}
-
 // Load fetches the cached metrics for key. A missing, torn, corrupt or
-// format-incompatible entry is a miss (ok=false, nil error); err is
-// reserved for real I/O failures.
+// format-incompatible entry, or a key that is not one path element, is
+// a miss (ok=false, nil error); err is reserved for real I/O failures.
 func (c *RunCache) Load(key string) (sim.Metrics, bool, error) {
-	blob, err := os.ReadFile(c.path(key))
-	if errors.Is(err, fs.ErrNotExist) {
-		return sim.Metrics{}, false, nil
-	}
+	blob, ok, err := readEntry(c.dir, key, ".json")
 	if err != nil {
 		return sim.Metrics{}, false, fmt.Errorf("engine: reading cache entry: %w", err)
 	}
-	m, ok := DecodeRunEntry(key, blob)
+	if !ok {
+		return sim.Metrics{}, false, nil
+	}
+	m, ok := decodeRunEntry(key, blob)
 	return m, ok, nil
 }
 
 // Store persists metrics under key atomically.
 func (c *RunCache) Store(key string, m sim.Metrics) error {
-	blob, err := EncodeRunEntry(key, m)
+	blob, err := encodeRunEntry(key, m)
 	if err != nil {
 		return err
 	}
-	tmp, err := os.CreateTemp(c.dir, key+".tmp-*")
-	if err != nil {
-		return fmt.Errorf("engine: writing cache entry: %w", err)
-	}
-	if _, err := tmp.Write(blob); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return fmt.Errorf("engine: writing cache entry: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("engine: writing cache entry: %w", err)
-	}
-	if err := os.Rename(tmp.Name(), c.path(key)); err != nil {
-		os.Remove(tmp.Name())
+	if err := writeEntry(c.dir, key, ".json", blob); err != nil {
 		return fmt.Errorf("engine: writing cache entry: %w", err)
 	}
 	return nil
@@ -175,4 +157,60 @@ func (c *RunCache) Len() (int, error) {
 		return 0, err
 	}
 	return len(matches), nil
+}
+
+// entryPath names key's file in a cache directory. Keys arrive from
+// request URLs, so a key that is not one path element (empty, ".",
+// "..", or containing a separator) could name a file outside dir; it
+// gets ok=false.
+func entryPath(dir, key, ext string) (string, bool) {
+	if key == "" || key == "." || key == ".." || strings.ContainsAny(key, `/\`) {
+		return "", false
+	}
+	return filepath.Join(dir, key+ext), true
+}
+
+// readEntry reads key's file from dir. A missing file is ok=false with
+// a nil error; so is an invalid key, without touching the filesystem.
+func readEntry(dir, key, ext string) ([]byte, bool, error) {
+	path, ok := entryPath(dir, key, ext)
+	if !ok {
+		return nil, false, nil
+	}
+	blob, err := os.ReadFile(path)
+	if errors.Is(err, fs.ErrNotExist) {
+		return nil, false, nil
+	}
+	if err != nil {
+		return nil, false, err
+	}
+	return blob, true, nil
+}
+
+// writeEntry writes key's file in dir atomically (temp file + rename),
+// so concurrent processes and killed sweeps never leave a torn entry.
+// An invalid key is an error.
+func writeEntry(dir, key, ext string, blob []byte) error {
+	path, ok := entryPath(dir, key, ext)
+	if !ok {
+		return fmt.Errorf("invalid cache key %q", key)
+	}
+	tmp, err := os.CreateTemp(dir, key+".tmp-*")
+	if err != nil {
+		return err
+	}
+	if _, err := tmp.Write(blob); err != nil {
+		tmp.Close()
+		os.Remove(tmp.Name())
+		return err
+	}
+	if err := tmp.Close(); err != nil {
+		os.Remove(tmp.Name())
+		return err
+	}
+	if err := os.Rename(tmp.Name(), path); err != nil {
+		os.Remove(tmp.Name())
+		return err
+	}
+	return nil
 }

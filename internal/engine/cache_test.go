@@ -70,6 +70,26 @@ func TestRunCacheMissAndCorruption(t *testing.T) {
 	if _, ok, _ := c.Load("wrong"); ok {
 		t.Error("entry with mismatched key served as a hit")
 	}
+	// Keys that are not one path element are refused: Load misses even
+	// when the file such a key names holds a valid entry, Store errors.
+	blob, err := encodeRunEntry("sub/right", sim.Metrics{IPC: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Mkdir(filepath.Join(dir, "sub"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "sub", "right.json"), blob, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, key := range []string{"", ".", "..", "../right", "sub/right", `sub\right`} {
+		if _, ok, err := c.Load(key); ok || err != nil {
+			t.Errorf("Load(%q): ok %v err %v, want miss", key, ok, err)
+		}
+		if err := c.Store(key, sim.Metrics{IPC: 1}); err == nil {
+			t.Errorf("Store(%q) succeeded, want an error", key)
+		}
+	}
 }
 
 // TestEngineDiskCache: a second engine pass over the same jobs and cache

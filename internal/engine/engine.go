@@ -101,8 +101,7 @@ type Options struct {
 	// Timeout bounds each job's wall-clock time; 0 means none.
 	Timeout time.Duration
 	// Cache, if non-nil, persists results keyed by job key. RunCache is
-	// the local-disk implementation; cluster workers plug in the shared
-	// artifact store here instead.
+	// the local-disk implementation.
 	Cache ResultCache
 	// Progress, if non-nil, is called once per finished job. Calls are
 	// serialized by the engine; the callback may write to shared sinks
@@ -140,9 +139,7 @@ func (e *Engine) Parallel() int { return e.opt.Parallel }
 
 // SimsExecuted reports how many simulations this engine actually
 // launched — cache hits and jobs cancelled before dispatch excluded.
-// The cluster's zero-duplicate-work guarantee is asserted against this
-// counter: over a fleet of workers the per-key sum must never exceed
-// one for any completed sweep.
+// The server exports it at /metrics and /healthz.
 func (e *Engine) SimsExecuted() uint64 { return e.sims.Load() }
 
 // Run executes jobs over the worker pool and returns one Result per job,

@@ -58,7 +58,7 @@ type hashImage struct {
 
 	// Hybrid is present only when the DRAM staging tier is enabled (same
 	// omitempty pattern: every PCM-only config keeps its pre-hybrid hash
-	// and the run cache/artifact store stay valid).
+	// and its run-cache entries stay valid).
 	Hybrid *dram.HybridConfig `json:",omitempty"`
 }
 

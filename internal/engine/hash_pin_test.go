@@ -10,9 +10,9 @@ import (
 )
 
 // TestConfigHashPinned pins the ConfigHash of three representative
-// configs. The hash addresses every run-cache entry and cluster
-// artifact, so a refactor that shifts it silently orphans them; bump
-// hashVersion (and these pins) only when a config's meaning changes.
+// configs. The hash addresses every run-cache entry and server job, so
+// a refactor that shifts it silently orphans them; bump hashVersion
+// (and these pins) only when a config's meaning changes.
 func TestConfigHashPinned(t *testing.T) {
 	gems, err := trace.WorkloadByName("GemsFDTD")
 	if err != nil {

@@ -14,11 +14,8 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
-	"errors"
 	"fmt"
-	"io/fs"
 	"os"
-	"path/filepath"
 	"sync"
 
 	"rrmpcm/internal/cpu"
@@ -145,39 +142,19 @@ func OpenSnapshotCache(dir string) (*SnapshotCache, error) {
 // Dir returns the cache's root directory.
 func (c *SnapshotCache) Dir() string { return c.dir }
 
-func (c *SnapshotCache) path(key string) string {
-	return filepath.Join(c.dir, key+".snap")
-}
-
-// Load implements SnapshotStore.
+// Load implements SnapshotStore. A key that is not one path element is
+// a miss.
 func (c *SnapshotCache) Load(key string) ([]byte, bool, error) {
-	blob, err := os.ReadFile(c.path(key))
-	if errors.Is(err, fs.ErrNotExist) {
-		return nil, false, nil
-	}
+	blob, ok, err := readEntry(c.dir, key, ".snap")
 	if err != nil {
 		return nil, false, fmt.Errorf("engine: reading snapshot: %w", err)
 	}
-	return blob, true, nil
+	return blob, ok, nil
 }
 
 // Store implements SnapshotStore.
 func (c *SnapshotCache) Store(key string, blob []byte) error {
-	tmp, err := os.CreateTemp(c.dir, key+".tmp-*")
-	if err != nil {
-		return fmt.Errorf("engine: writing snapshot: %w", err)
-	}
-	if _, err := tmp.Write(blob); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return fmt.Errorf("engine: writing snapshot: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("engine: writing snapshot: %w", err)
-	}
-	if err := os.Rename(tmp.Name(), c.path(key)); err != nil {
-		os.Remove(tmp.Name())
+	if err := writeEntry(c.dir, key, ".snap", blob); err != nil {
 		return fmt.Errorf("engine: writing snapshot: %w", err)
 	}
 	return nil

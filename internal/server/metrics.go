@@ -153,7 +153,7 @@ func (m *serverMetrics) render(w io.Writer, queueDepth, queueCap int, uptimeSeco
 	counter("rrmserve_jobs_failed_total", "Jobs finished with an error.", m.failed.Load())
 	counter("rrmserve_cache_hits_total", "Jobs satisfied from the disk run cache.", m.cacheHits.Load())
 	counter("rrmserve_cache_misses_total", "Jobs that had to simulate (run-cache misses).", m.cacheMiss.Load())
-	counter("rrmserve_sims_executed_total", "Simulations this process actually launched (the cluster's zero-duplicate-work counter).", simsExecuted)
+	counter("rrmserve_sims_executed_total", "Simulations this process actually launched (run-cache hits excluded).", simsExecuted)
 	counter("rrmserve_reliability_reads_checked_total", "Demand reads inspected by the reliability model across finished jobs.", m.relReadsChecked.Load())
 	counter("rrmserve_reliability_corrected_reads_total", "Demand reads the ECC model corrected across finished jobs.", m.relCorrected.Load())
 	counter("rrmserve_reliability_uncorrectable_total", "Uncorrectable errors (reads, scrub inspections and final sweeps) across finished jobs.", m.relUncorrectable.Load())

@@ -23,8 +23,8 @@ func getStatus(t *testing.T, url string) (int, map[string]any) {
 }
 
 // TestReadinessLivenessSplit: /healthz is the routing decision (503
-// once the server is unready or draining), /livez is the restart
-// decision (200 for as long as the process answers at all).
+// once the server is draining), /livez is the restart decision (200
+// for as long as the process answers at all).
 func TestReadinessLivenessSplit(t *testing.T) {
 	srv, ts := newTestServer(t, Options{QueueSize: 4})
 
@@ -39,31 +39,7 @@ func TestReadinessLivenessSplit(t *testing.T) {
 		t.Fatal("fresh server not Ready()")
 	}
 
-	// Deregistered worker: unready for routing, alive for restarts, and
-	// still fully serving the jobs it has.
-	srv.SetReady(false)
-	code, body = getStatus(t, ts.URL+"/healthz")
-	if code != http.StatusServiceUnavailable || body["status"] != "not-ready" {
-		t.Errorf("unready /healthz = %d %v, want 503 not-ready", code, body["status"])
-	}
-	if code, _ := getStatus(t, ts.URL+"/livez"); code != http.StatusOK {
-		t.Errorf("unready /livez = %d, want 200", code)
-	}
-	if srv.Ready() {
-		t.Error("Ready() true after SetReady(false)")
-	}
-	if code, _ := postJob(t, ts, `{"scheme":"rrm","workload":"GemsFDTD","quick":true}`); code != http.StatusAccepted {
-		t.Errorf("unready server refused a submission (%d); readiness must not gate intake", code)
-	}
-
-	// Flipping back restores routing.
-	srv.SetReady(true)
-	if code, _ := getStatus(t, ts.URL+"/healthz"); code != http.StatusOK {
-		t.Errorf("re-readied /healthz = %d, want 200", code)
-	}
-
-	// Draining is unready regardless of the latch, and liveness holds
-	// until the process exits.
+	// Draining is unready, and liveness holds until the process exits.
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
 	if err := srv.Shutdown(ctx); err != nil {

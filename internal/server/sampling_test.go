@@ -11,7 +11,7 @@ import (
 
 // TestSampledSubmissionIdentity: a sampled submission denotes a
 // different job than the full run of the same config — distinct engine
-// keys, so the run cache and the cluster dedup index can never serve one
+// keys, so the run cache and the live job registry can never serve one
 // for the other — and distinct sampling specs are themselves distinct.
 func TestSampledSubmissionIdentity(t *testing.T) {
 	base := SubmitRequest{Scheme: "rrm", Workload: "GemsFDTD", Quick: true, Seed: 3}

@@ -39,7 +39,6 @@ import (
 	"runtime"
 	"strconv"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"rrmpcm/internal/buildinfo"
@@ -71,14 +70,9 @@ type Options struct {
 	// the same warmup-relevant prefix (engine.WarmRunSim). With CacheDir
 	// set, snapshots also persist to disk under CacheDir/snapshots.
 	WarmStart bool
-	// Cache, if non-nil, overrides CacheDir as the finished-run store.
-	// Cluster workers inject the shared artifact store here so any
-	// worker serves any result computed anywhere.
+	// Cache, if non-nil, overrides CacheDir as the finished-run store
+	// (an in-memory store for benchmarks and tests).
 	Cache engine.ResultCache
-	// Snapshots, if non-nil, overrides the warm-start snapshot store the
-	// same way (shared warm prefixes across workers). Only consulted
-	// when WarmStart is set.
-	Snapshots engine.SnapshotStore
 	// Sim overrides the simulation function (tests only).
 	Sim engine.SimFunc
 	// TraceDir, if non-empty, enables tenant trace replay: tenant
@@ -97,12 +91,6 @@ type Server struct {
 	met   *serverMetrics
 	mux   http.Handler
 	start time.Time
-
-	// notReady is the readiness latch (see SetReady): while set,
-	// /healthz answers 503 so load balancers and the cluster coordinator
-	// stop routing here, without affecting liveness (/livez) or the jobs
-	// already in flight.
-	notReady atomic.Bool
 
 	lifeCtx    context.Context // cancelled to abort in-flight sims
 	lifeCancel context.CancelFunc
@@ -153,16 +141,13 @@ func New(opt Options) (*Server, error) {
 		eopt.Cache = c
 	}
 	if opt.WarmStart && eopt.Sim == nil {
-		store := opt.Snapshots
-		if store == nil {
-			store = engine.NewMemSnapshotStore()
-			if opt.CacheDir != "" {
-				c, err := engine.OpenSnapshotCache(filepath.Join(opt.CacheDir, "snapshots"))
-				if err != nil {
-					return nil, fmt.Errorf("server: %w", err)
-				}
-				store = c
+		var store engine.SnapshotStore = engine.NewMemSnapshotStore()
+		if opt.CacheDir != "" {
+			c, err := engine.OpenSnapshotCache(filepath.Join(opt.CacheDir, "snapshots"))
+			if err != nil {
+				return nil, fmt.Errorf("server: %w", err)
 			}
+			store = c
 		}
 		eopt.Sim = engine.WarmRunSim(store)
 	}
@@ -241,31 +226,16 @@ func (s *Server) routes() http.Handler {
 	return mux
 }
 
-// SetReady flips the readiness latch. A worker that has deregistered
-// from its coordinator (or is otherwise draining) calls SetReady(false)
-// so /healthz starts answering 503 while /livez keeps reporting the
-// process alive; in-flight and queued jobs are unaffected.
-func (s *Server) SetReady(ready bool) { s.notReady.Store(!ready) }
-
-// Ready reports the readiness latch (true) unless the server is also
-// draining, which is unready by definition.
+// Ready reports whether the server accepts new submissions: true until
+// Shutdown starts draining.
 func (s *Server) Ready() bool {
 	s.mu.Lock()
-	draining := s.closed
-	s.mu.Unlock()
-	return !draining && !s.notReady.Load()
+	defer s.mu.Unlock()
+	return !s.closed
 }
 
 // QueueDepth reports how many jobs are waiting in the bounded queue.
 func (s *Server) QueueDepth() int { return len(s.queue) }
-
-// QueueCapacity reports the bounded queue's capacity.
-func (s *Server) QueueCapacity() int { return s.opt.QueueSize }
-
-// SimsExecuted reports how many simulations this server's engine
-// actually launched (cache hits excluded) — the counter the cluster's
-// zero-duplicate-work assertions sum across workers.
-func (s *Server) SimsExecuted() uint64 { return s.eng.SimsExecuted() }
 
 // SubmitRequest is the POST /api/v1/jobs body. Either Config carries a
 // full sim.Config document, or Scheme+Workload name a run built with
@@ -288,7 +258,7 @@ type SubmitRequest struct {
 	// simulation (see sim.SamplingSpec); the result's metrics carry
 	// confidence intervals. A sampled submission hashes to a different
 	// job key than the full run of the same config, so the two never
-	// collide in the run cache or the cluster's dedup index.
+	// collide in the run cache or the live job registry.
 	Sampling *sim.SamplingSpec `json:"sampling,omitempty"`
 }
 
@@ -324,19 +294,15 @@ type JobResult struct {
 }
 
 // BuildJob resolves a submission into the engine job it denotes —
-// validated config, config-hash key, display name. The cluster
-// coordinator calls this to learn a submission's identity (and thereby
-// its owning worker) without running anything; the worker it routes to
-// resolves the same bytes to the same job, so the two tiers can never
-// disagree about what a submission means.
+// validated config, config-hash key, display name — without running
+// anything. Trace tenants are rejected; profile tenants still work.
 func BuildJob(req SubmitRequest) (engine.Job, error) {
 	return BuildJobIn("", req)
 }
 
 // BuildJobIn is BuildJob with a trace directory: tenant submissions
 // that reference trace files resolve them relative to traceDir (empty
-// rejects trace tenants, which is how a coordinator without local
-// trace files behaves — profile tenants still work).
+// rejects trace tenants).
 func BuildJobIn(traceDir string, req SubmitRequest) (engine.Job, error) {
 	cfg, err := buildConfig(traceDir, req)
 	if err != nil {
@@ -590,20 +556,16 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	s.met.render(w, len(s.queue), s.opt.QueueSize, time.Since(s.start).Seconds(), s.eng.SimsExecuted())
 }
 
-// handleHealthz is the readiness probe: 503 while draining or after
-// SetReady(false) — a deregistered cluster worker — so load balancers
-// and the coordinator stop routing new work here. Liveness is /livez.
+// handleHealthz is the readiness probe: 503 while draining, so load
+// balancers stop routing new work here. Liveness is /livez.
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	s.mu.Lock()
 	draining := s.closed
 	live := len(s.jobs)
 	s.mu.Unlock()
 	status, code := "ok", http.StatusOK
-	switch {
-	case draining:
+	if draining {
 		status, code = "draining", http.StatusServiceUnavailable
-	case s.notReady.Load():
-		status, code = "not-ready", http.StatusServiceUnavailable
 	}
 	writeJSON(w, code, map[string]any{
 		"status":         status,
@@ -622,7 +584,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleLivez is the liveness probe: 200 for as long as the process can
-// answer HTTP at all, even while draining or unready. Restart-deciders
+// answer HTTP at all, even while draining. Restart-deciders
 // watch this; routing-deciders watch /healthz.
 func (s *Server) handleLivez(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]any{

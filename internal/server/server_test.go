@@ -9,6 +9,8 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -329,6 +331,53 @@ func TestIdempotentAcrossRestart(t *testing.T) {
 	}
 	if got := ran2.Load(); got != 0 {
 		t.Fatalf("second server ran %d simulations, want 0", got)
+	}
+}
+
+// TestResultRejectsTraversalID: job ids come from the URL, and the run
+// cache must not resolve one that escapes its directory. A valid entry
+// keyed "../outside" planted beside the cache directory is not served
+// by either cache-backed endpoint; the same entry keyed "inside" within
+// it is, so the 404 is the key check and not a stale entry format.
+func TestResultRejectsTraversalID(t *testing.T) {
+	root := t.TempDir()
+	dir := filepath.Join(root, "cache")
+	if err := os.Mkdir(dir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	plant := func(path, key string) {
+		// A run entry in its trailer-free JSON envelope (cache format 3).
+		blob, err := json.Marshal(struct {
+			Format  int
+			Key     string
+			Metrics sim.Metrics
+		}{3, key, sim.Metrics{Scheme: "rrm", Workload: "GemsFDTD", IPC: 7}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, blob, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	plant(filepath.Join(root, "outside.json"), "../outside")
+	plant(filepath.Join(dir, "inside.json"), "inside")
+	_, ts := newTestServer(t, Options{CacheDir: dir})
+
+	get := func(path string) int {
+		resp, err := http.Get(ts.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	for _, suffix := range []string{"", "/result"} {
+		if code := get("/api/v1/jobs/inside" + suffix); code != http.StatusOK {
+			t.Fatalf("GET inside%s = %d, want 200", suffix, code)
+		}
+		if code := get("/api/v1/jobs/..%2Foutside" + suffix); code != http.StatusNotFound {
+			t.Errorf("GET ..%%2Foutside%s = %d, want 404", suffix, code)
+		}
 	}
 }
 

@@ -323,23 +323,6 @@ func fnv1a(b []byte) uint64 {
 }
 
 // Checksum exposes the codec's 64-bit FNV-1a hash so sibling on-disk
-// formats (the engine run cache, the cluster artifact store) can carry
-// the same integrity trailer as snapshot blobs.
+// formats (the engine run cache, trace files) can carry the same
+// integrity trailer as snapshot blobs.
 func Checksum(b []byte) uint64 { return fnv1a(b) }
-
-// VerifyTrailer checks a blob's trailing FNV-1a checksum without
-// interpreting its header or body. It is the cheap integrity probe a
-// blob store uses to reject torn or bit-flipped snapshot files before
-// handing them to a decoder.
-func VerifyTrailer(blob []byte) error {
-	if len(blob) < 4+2+8 {
-		return fmt.Errorf("snapshot: blob too short (%d bytes)", len(blob))
-	}
-	body, sum := blob[:len(blob)-8], blob[len(blob)-8:]
-	want := uint64(sum[0]) | uint64(sum[1])<<8 | uint64(sum[2])<<16 | uint64(sum[3])<<24 |
-		uint64(sum[4])<<32 | uint64(sum[5])<<40 | uint64(sum[6])<<48 | uint64(sum[7])<<56
-	if got := fnv1a(body); got != want {
-		return fmt.Errorf("snapshot: checksum mismatch (got %#x want %#x)", got, want)
-	}
-	return nil
-}

@@ -12,8 +12,7 @@ import (
 // generates the next op, Diurnal and Burst then stretch its non-memory
 // gap (diluting memory intensity without touching the address pattern).
 // All three are deterministic, allocation-free after construction, and
-// snapshot/restorable, so warm-start forks and the cluster fabric work
-// unchanged.
+// snapshot/restorable, so warm-start and sampling forks work unchanged.
 //
 // The fields are part of the config-hash image (trace.Workload travels
 // whole); every field is omitempty so workloads without dynamics keep

@@ -4,8 +4,8 @@
 # full and again sampled (8 windows x 100 us, stride-16 fast-forward),
 # then require (a) the sampled run's 95% confidence interval to contain
 # the full run's IPC and (b) a wall-clock speedup over the full run.
-# This is the executable form of DESIGN.md §15's contract; the BENCH_8
-# pair (BenchmarkFullRun / BenchmarkSampledRun) records the headline
+# This is the executable form of DESIGN.md §15's contract; the
+# BenchmarkFullRun / BenchmarkSampledRun pair measures the headline
 # >=10x number at a longer duration.
 #
 # Usage: scripts/sample_smoke.sh [duration] [min-speedup]
