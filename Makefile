@@ -9,7 +9,9 @@
 #          plus the event queue, cache hierarchy, snapshot codec,
 #          memory controller and RRM core that every simulation runs
 #   bench  paper-artifact and hot-path benchmarks (quick windows), a
-#          profiling aid; the repo benchmark is perfbench/run.sh
+#          profiling aid; BenchmarkSimNew reports sim.New's ns/op and
+#          B/op (the set-up every run and fork pays); the repo
+#          benchmark is perfbench/run.sh
 #   profile
 #          CPU+heap profile of a representative experiment pass
 #          (cpu.prof / mem.prof; inspect with `go tool pprof`)

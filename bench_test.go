@@ -23,6 +23,7 @@ import (
 	"rrmpcm/internal/experiments"
 	"rrmpcm/internal/memctrl"
 	"rrmpcm/internal/pcm"
+	"rrmpcm/internal/sim"
 	"rrmpcm/internal/timing"
 	"rrmpcm/internal/trace"
 	"rrmpcm/internal/tracefile"
@@ -420,6 +421,26 @@ func BenchmarkHybridMigration(b *testing.B) {
 // over the loop's total elapsed time.
 func reportSimRate(b *testing.B, insts uint64) {
 	b.ReportMetric(float64(insts)/b.Elapsed().Seconds(), "sim-insts/s")
+}
+
+// BenchmarkSimNew measures building the default RRM GemsFDTD system:
+// the cost every detailed run, sampled window fork, warm-start fork and
+// service job pays before simulating anything. B/op is what
+// internal/sim's TestNewAllocBudget bounds.
+func BenchmarkSimNew(b *testing.B) {
+	w, err := WorkloadByName("GemsFDTD")
+	if err != nil {
+		b.Fatal(err)
+	}
+	cfg := DefaultConfig(RRMScheme(), w)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		sys, err := sim.New(cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		sys.Close()
+	}
 }
 
 func BenchmarkFullSystemSimulation(b *testing.B) {

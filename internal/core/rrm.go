@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 
 	"rrmpcm/internal/pcm"
@@ -104,8 +105,8 @@ func (c RRMConfig) Validate() error {
 	if n := c.BlocksPerRegion(); n > maxBlocksPerRegion {
 		return fmt.Errorf("core: %d blocks per region exceeds the %d-bit vector", n, maxBlocksPerRegion)
 	}
-	if c.HotThreshold <= 0 {
-		return fmt.Errorf("core: hot threshold %d", c.HotThreshold)
+	if c.HotThreshold <= 0 || int64(c.HotThreshold) > math.MaxUint32 {
+		return fmt.Errorf("core: hot threshold %d must be in [1, 2^32)", c.HotThreshold)
 	}
 	if !c.ShortMode.Valid() || !c.LongMode.Valid() || c.ShortMode >= c.LongMode {
 		return fmt.Errorf("core: short mode %v must be faster than long mode %v", c.ShortMode, c.LongMode)
@@ -150,18 +151,18 @@ func (c RRMConfig) StorageBytes() uint64 {
 // 64 B blocks need 256 bits).
 const maxBlocksPerRegion = 256
 
+// vectorWords is the short-retention vector's width in the snapshot
+// format (and in MultiModeRRM), whatever the configured region size.
 const vectorWords = maxBlocksPerRegion / 64
 
-// entry is one RRM entry (paper §IV-C).
+// entry is one RRM entry (paper §IV-C) minus its short-retention vector,
+// which lives in RRM.vecs. The counters are held at the 32-bit widths
+// the snapshot writes them in, and the promotion generations at 32 bits,
+// so an entry is 56 host bytes: 64 B with the default one-word vector,
+// against the paper's 128-bit EntryBits.
 type entry struct {
-	valid        bool
-	hot          bool
-	tag          uint64 // region number
-	dirtyWrites  int    // saturates at HotThreshold
-	decayCounter int
-	hotGen       int // promotion generation; ends on demote/evict
-	shortVec     [vectorWords]uint64
-	lastUse      uint64 // LRU timestamp
+	tag     uint64 // region number
+	lastUse uint64 // LRU timestamp
 
 	// Live refresh-timer descriptor (snapshot bookkeeping): the pending
 	// event of the current promotion generation's timer. Valid only
@@ -169,19 +170,13 @@ type entry struct {
 	// dead timer pending whose fields no longer match.
 	timerAt  timing.Time
 	timerSeq int64
-	timerGen int
-}
+	timerGen int32
 
-// vecBit tests, sets and clears short-retention vector bits.
-func (e *entry) vecGet(i int) bool { return e.shortVec[i>>6]&(1<<(uint(i)&63)) != 0 }
-func (e *entry) vecSet(i int)      { e.shortVec[i>>6] |= 1 << (uint(i) & 63) }
-func (e *entry) vecClear()         { e.shortVec = [vectorWords]uint64{} }
-func (e *entry) vecPopCount() int {
-	n := 0
-	for _, w := range e.shortVec {
-		n += bits.OnesCount64(w)
-	}
-	return n
+	hotGen       int32  // promotion generation; ends on demote/evict
+	dirtyWrites  uint32 // saturates at HotThreshold
+	decayCounter uint32
+	valid        bool
+	hot          bool
 }
 
 // Stats counts RRM activity.
@@ -213,9 +208,14 @@ func (s Stats) ShortWriteFraction() float64 {
 
 // RRM is the Region Retention Monitor.
 type RRM struct {
-	cfg      RRMConfig
-	issuer   RefreshIssuer
-	sets     [][]entry
+	cfg    RRMConfig
+	issuer RefreshIssuer
+	// entries is the table, set-major: set s is entries[s*Ways:][:Ways].
+	// Entry i's short-retention vector is vecs[i*vecWords:][:vecWords],
+	// sized from BlocksPerRegion rather than the 256-block maximum.
+	entries  []entry
+	vecs     []uint64
+	vecWords int
 	setMask  uint64
 	useClock uint64
 	stats    Stats
@@ -247,15 +247,16 @@ func NewRRM(cfg RRMConfig, issuer RefreshIssuer) (*RRM, error) {
 	if issuer == nil {
 		return nil, fmt.Errorf("core: nil refresh issuer")
 	}
+	n := cfg.Sets * cfg.Ways
+	vecWords := (cfg.BlocksPerRegion() + 63) / 64
 	r := &RRM{
 		cfg:       cfg,
 		issuer:    issuer,
-		sets:      make([][]entry, cfg.Sets),
+		entries:   make([]entry, n),
+		vecs:      make([]uint64, n*vecWords),
+		vecWords:  vecWords,
 		setMask:   uint64(cfg.Sets - 1),
 		decayWrap: 1 << cfg.DecayBits,
-	}
-	for i := range r.sets {
-		r.sets[i] = make([]entry, cfg.Ways)
 	}
 	r.regionShift = uint(bits.TrailingZeros64(cfg.RegionBytes))
 	r.blockShift = uint(bits.TrailingZeros64(cfg.BlockBytes))
@@ -284,15 +285,35 @@ func (r *RRM) blockIndex(addr uint64) int {
 	return int((addr >> r.blockShift) & (uint64(r.cfg.BlocksPerRegion()) - 1))
 }
 
-// lookup finds the entry for a region, or nil.
-func (r *RRM) lookup(region uint64) *entry {
-	set := r.sets[region&r.setMask]
+// vec returns entry i's short-retention vector; vecGet, vecSet,
+// vecClear and vecPopCount read and write it.
+func (r *RRM) vec(i int) []uint64 { return r.vecs[i*r.vecWords : (i+1)*r.vecWords] }
+func (r *RRM) vecGet(i, b int) bool {
+	return r.vecs[i*r.vecWords+b>>6]&(1<<(uint(b)&63)) != 0
+}
+func (r *RRM) vecSet(i, b int) { r.vecs[i*r.vecWords+b>>6] |= 1 << (uint(b) & 63) }
+func (r *RRM) vecClear(i int)  { clear(r.vec(i)) }
+func (r *RRM) vecPopCount(i int) int {
+	n := 0
+	for _, w := range r.vec(i) {
+		n += bits.OnesCount64(w)
+	}
+	return n
+}
+
+// setBase returns the index of the first entry of region's set.
+func (r *RRM) setBase(region uint64) int { return int(region&r.setMask) * r.cfg.Ways }
+
+// lookup finds the index of the entry for a region, or -1.
+func (r *RRM) lookup(region uint64) int {
+	base := r.setBase(region)
+	set := r.entries[base : base+r.cfg.Ways]
 	for i := range set {
 		if set[i].valid && set[i].tag == region {
-			return &set[i]
+			return base + i
 		}
 	}
-	return nil
+	return -1
 }
 
 // RegisterLLCWrite implements WritePolicy (paper §IV-D, Figure 6 top).
@@ -305,28 +326,29 @@ func (r *RRM) RegisterLLCWrite(addr uint64, wasDirty bool, now timing.Time) {
 		return
 	}
 	region := r.region(addr)
-	e := r.lookup(region)
-	if e == nil {
+	i := r.lookup(region)
+	if i < 0 {
 		r.stats.RegMisses++
-		e = r.allocate(region)
+		i = r.allocate(region)
 	} else {
 		r.stats.RegHits++
 	}
+	e := &r.entries[i]
 	r.useClock++
 	e.lastUse = r.useClock
 
-	if e.dirtyWrites < r.cfg.HotThreshold {
+	if e.dirtyWrites < uint32(r.cfg.HotThreshold) {
 		e.dirtyWrites++
-		if e.dirtyWrites == r.cfg.HotThreshold && !e.hot {
+		if e.dirtyWrites == uint32(r.cfg.HotThreshold) && !e.hot {
 			e.hot = true
 			e.hotGen++
 			r.stats.Promotions++
-			r.armEntryTimer(e)
+			r.armEntryTimer(i)
 		}
 	}
 	if e.hot {
 		// Future memory writes to this block use the fast mode.
-		e.vecSet(r.blockIndex(addr))
+		r.vecSet(i, r.blockIndex(addr))
 	}
 }
 
@@ -334,8 +356,9 @@ func (r *RRM) RegisterLLCWrite(addr uint64, wasDirty bool, now timing.Time) {
 // An evicted entry with live short-retention blocks must have them
 // rewritten with long-retention writes first, or their data would expire
 // untracked (correctness requirement implied by Figure 6).
-func (r *RRM) allocate(region uint64) *entry {
-	set := r.sets[region&r.setMask]
+func (r *RRM) allocate(region uint64) int {
+	base := r.setBase(region)
+	set := r.entries[base : base+r.cfg.Ways]
 	victim := -1
 	for i := range set {
 		if !set[i].valid {
@@ -352,31 +375,32 @@ func (r *RRM) allocate(region uint64) *entry {
 			}
 		}
 		r.stats.Evictions++
-		r.flushEntry(&set[victim], &r.stats.EvictionFlush)
+		r.flushEntry(base+victim, &r.stats.EvictionFlush)
 	}
 	r.stats.Allocations++
 	r.useClock++
 	set[victim] = entry{valid: true, tag: region, lastUse: r.useClock}
-	return &set[victim]
+	return base + victim
 }
 
 // flushEntry issues slow refreshes for every live short-retention block
-// of e, counting them in counter.
-func (r *RRM) flushEntry(e *entry, counter *uint64) {
+// of entry i, counting them in counter.
+func (r *RRM) flushEntry(i int, counter *uint64) {
+	e := &r.entries[i]
 	if !e.valid {
 		return
 	}
 	base := e.tag << r.regionShift
-	for i := 0; i < r.cfg.BlocksPerRegion(); i++ {
-		if e.vecGet(i) {
-			r.issuer.IssueRefresh(base+uint64(i)<<r.blockShift, r.cfg.LongMode, pcm.WearSlowRefresh)
+	for b := 0; b < r.cfg.BlocksPerRegion(); b++ {
+		if r.vecGet(i, b) {
+			r.issuer.IssueRefresh(base+uint64(b)<<r.blockShift, r.cfg.LongMode, pcm.WearSlowRefresh)
 			r.stats.SlowRefreshes++
 			if counter != nil {
 				*counter++
 			}
 		}
 	}
-	e.vecClear()
+	r.vecClear(i)
 	e.hot = false
 	e.hotGen++
 }
@@ -385,7 +409,7 @@ func (r *RRM) flushEntry(e *entry, counter *uint64) {
 // left): a hit with the block's short-retention bit set selects the fast
 // mode, everything else the slow default.
 func (r *RRM) DecideWriteMode(addr uint64, now timing.Time) pcm.WriteMode {
-	if e := r.lookup(r.region(addr)); e != nil && e.vecGet(r.blockIndex(addr)) {
+	if i := r.lookup(r.region(addr)); i >= 0 && r.vecGet(i, r.blockIndex(addr)) {
 		r.stats.ShortDecisions++
 		return r.cfg.ShortMode
 	}
@@ -406,23 +430,20 @@ func (r *RRM) DecideWriteMode(addr uint64, now timing.Time) pcm.WriteMode {
 // hot block at once. Controllers stagger refresh for the same reason.
 // With eq nil all refreshes issue immediately (tests, simple uses).
 func (r *RRM) FastRefreshTick(now timing.Time) {
-	for s := range r.sets {
-		for i := range r.sets[s] {
-			e := &r.sets[s][i]
-			if e.valid && e.hot {
-				r.refreshEntryBlocks(e)
-			}
+	for i := range r.entries {
+		if e := &r.entries[i]; e.valid && e.hot {
+			r.refreshEntryBlocks(i)
 		}
 	}
 }
 
 // refreshEntryBlocks issues fast refreshes for the (sampled) short-
-// retention blocks of e, returning how many were issued.
-func (r *RRM) refreshEntryBlocks(e *entry) int {
-	base := e.tag << r.regionShift
+// retention blocks of entry i, returning how many were issued.
+func (r *RRM) refreshEntryBlocks(i int) int {
+	base := r.entries[i].tag << r.regionShift
 	n := 0
 	for b := 0; b < r.cfg.BlocksPerRegion(); b++ {
-		if e.vecGet(b) {
+		if r.vecGet(i, b) {
 			addr := base + uint64(b)<<r.blockShift
 			if !SampledBlock(addr, r.cfg.RefreshSampling) {
 				continue
@@ -469,28 +490,29 @@ func (r *RRM) RefreshSampling() uint64 {
 // The timer dies silently when its promotion generation ends (demotion,
 // eviction, or reallocation of the entry); those paths slow-refresh the
 // live blocks themselves.
-func (r *RRM) armEntryTimer(e *entry) {
+func (r *RRM) armEntryTimer(i int) {
 	if r.eq == nil {
 		return // not attached to a simulation; FastRefreshTick drives refreshes
 	}
 	// Small deterministic jitter so simultaneous promotions (e.g. at
 	// program phase changes) do not fire in lockstep forever. Firing
 	// early never violates a deadline.
-	jitter := timing.Time((e.tag * 0x9E3779B97F4A7C15) % uint64(r.cfg.FastRefreshInterval/64+1))
-	r.scheduleEntryTimer(e, r.eq.Now()+r.cfg.FastRefreshInterval-jitter)
+	jitter := timing.Time((r.entries[i].tag * 0x9E3779B97F4A7C15) % uint64(r.cfg.FastRefreshInterval/64+1))
+	r.scheduleEntryTimer(i, r.eq.Now()+r.cfg.FastRefreshInterval-jitter)
 }
 
-// scheduleEntryTimer arms e's refresh timer at the given time, binding
-// it to the entry's current (tag, generation) and recording the event
-// descriptor on the entry so snapshots can re-create it.
-func (r *RRM) scheduleEntryTimer(e *entry, at timing.Time) {
+// scheduleEntryTimer arms entry i's refresh timer at the given time,
+// binding it to the entry's current (tag, generation) and recording the
+// event descriptor on the entry so snapshots can re-create it.
+func (r *RRM) scheduleEntryTimer(i int, at timing.Time) {
+	e := &r.entries[i]
 	tag, gen := e.tag, e.hotGen
 	var fire func(now timing.Time)
 	fire = func(now timing.Time) {
 		if !e.valid || !e.hot || e.tag != tag || e.hotGen != gen {
 			return
 		}
-		r.refreshEntryBlocks(e)
+		r.refreshEntryBlocks(i)
 		next := now + r.cfg.FastRefreshInterval
 		e.timerAt = next
 		e.timerSeq = r.eq.Schedule(next, fire).Seq()
@@ -506,26 +528,24 @@ func (r *RRM) scheduleEntryTimer(e *entry, at timing.Time) {
 // other hot entry is demoted: its short-retention blocks are re-written
 // with slow long-retention refreshes and its vector cleared.
 func (r *RRM) DecayTick(now timing.Time) {
-	for s := range r.sets {
-		for i := range r.sets[s] {
-			e := &r.sets[s][i]
-			if !e.valid {
-				continue
-			}
-			e.decayCounter++
-			if e.decayCounter < r.decayWrap {
-				continue
-			}
-			e.decayCounter = 0
-			if e.dirtyWrites >= r.cfg.HotThreshold {
-				// Still hot: halve the counter and re-check next wrap.
-				e.dirtyWrites /= 2
-				continue
-			}
-			if e.hot {
-				r.stats.Demotions++
-				r.flushEntry(e, nil)
-			}
+	for i := range r.entries {
+		e := &r.entries[i]
+		if !e.valid {
+			continue
+		}
+		e.decayCounter++
+		if e.decayCounter < uint32(r.decayWrap) {
+			continue
+		}
+		e.decayCounter = 0
+		if e.dirtyWrites >= uint32(r.cfg.HotThreshold) {
+			// Still hot: halve the counter and re-check next wrap.
+			e.dirtyWrites /= 2
+			continue
+		}
+		if e.hot {
+			r.stats.Demotions++
+			r.flushEntry(i, nil)
 		}
 	}
 }
@@ -535,11 +555,9 @@ func (r *RRM) DecayTick(now timing.Time) {
 // per-interval refresh timer (see armEntryTimer).
 func (r *RRM) Start(eq *timing.EventQueue) {
 	r.eq = eq
-	for s := range r.sets {
-		for i := range r.sets[s] {
-			if e := &r.sets[s][i]; e.valid && e.hot {
-				r.armEntryTimer(e)
-			}
+	for i := range r.entries {
+		if e := &r.entries[i]; e.valid && e.hot {
+			r.armEntryTimer(i)
 		}
 	}
 	r.armDecay(eq.Now() + r.cfg.DecayInterval)
@@ -571,13 +589,10 @@ func (r *RRM) armDecay(at timing.Time) {
 // HotEntries returns the current number of hot entries and tracked
 // short-retention blocks (metrics).
 func (r *RRM) HotEntries() (hotEntries, shortBlocks int) {
-	for s := range r.sets {
-		for i := range r.sets[s] {
-			e := &r.sets[s][i]
-			if e.valid && e.hot {
-				hotEntries++
-				shortBlocks += e.vecPopCount()
-			}
+	for i := range r.entries {
+		if e := &r.entries[i]; e.valid && e.hot {
+			hotEntries++
+			shortBlocks += r.vecPopCount(i)
 		}
 	}
 	return hotEntries, shortBlocks

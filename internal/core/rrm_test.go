@@ -2,6 +2,7 @@ package core
 
 import (
 	"testing"
+	"unsafe"
 
 	"rrmpcm/internal/pcm"
 	"rrmpcm/internal/timing"
@@ -312,13 +313,13 @@ func TestLRUEvictionOrder(t *testing.T) {
 	r.RegisterLLCWrite(4096, true, 0) // region 1
 	r.RegisterLLCWrite(0, true, 0)    // region 0 now MRU
 	r.RegisterLLCWrite(8192, true, 0) // evicts region 1
-	if r.lookup(0) == nil {
+	if r.lookup(0) < 0 {
 		t.Error("MRU region evicted")
 	}
-	if r.lookup(1) != nil {
+	if r.lookup(1) >= 0 {
 		t.Error("LRU region survived")
 	}
-	if r.lookup(2) == nil {
+	if r.lookup(2) < 0 {
 		t.Error("new region not allocated")
 	}
 }
@@ -447,19 +448,39 @@ func TestRRMInterfaceCompliance(t *testing.T) {
 }
 
 func TestVectorWordsBoundary(t *testing.T) {
-	// 16KB region = 256 blocks: bits span all four vector words.
-	var e entry
-	for _, i := range []int{0, 63, 64, 127, 128, 255} {
-		e.vecSet(i)
-		if !e.vecGet(i) {
-			t.Errorf("bit %d lost", i)
+	// 16KB region = 256 blocks: bits span all four vector words, and
+	// the neighbouring entries' vectors stay untouched.
+	r, _ := newRRM(t, func(c *RRMConfig) { c.RegionBytes = 16 << 10 })
+	if r.vecWords != 4 {
+		t.Fatalf("vecWords = %d, want 4", r.vecWords)
+	}
+	const i = 1
+	for _, b := range []int{0, 63, 64, 127, 128, 255} {
+		r.vecSet(i, b)
+		if !r.vecGet(i, b) {
+			t.Errorf("bit %d lost", b)
 		}
 	}
-	if e.vecPopCount() != 6 {
-		t.Errorf("popcount = %d, want 6", e.vecPopCount())
+	if r.vecPopCount(i) != 6 {
+		t.Errorf("popcount = %d, want 6", r.vecPopCount(i))
 	}
-	e.vecClear()
-	if e.vecPopCount() != 0 {
+	if r.vecPopCount(i-1) != 0 || r.vecPopCount(i+1) != 0 {
+		t.Error("bits leaked into a neighbouring entry's vector")
+	}
+	r.vecClear(i)
+	if r.vecPopCount(i) != 0 {
 		t.Error("clear failed")
+	}
+}
+
+// TestEntryHostFootprint: at the default 64 blocks per region an entry
+// plus its vector fits one 64 B cache line (the paper accounts 128 bits).
+func TestEntryHostFootprint(t *testing.T) {
+	r, _ := newRRM(t, nil)
+	if got := int(unsafe.Sizeof(entry{})) + 8*r.vecWords; got > 64 {
+		t.Errorf("entry takes %d host bytes with its vector, want <= 64", got)
+	}
+	if r.vecWords*64 < r.cfg.BlocksPerRegion() {
+		t.Errorf("%d vector words cannot hold %d blocks", r.vecWords, r.cfg.BlocksPerRegion())
 	}
 }

@@ -11,6 +11,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -229,6 +230,47 @@ func TestSubmitRejectsUnknownConfigField(t *testing.T) {
 	delete(cfg, "Shards")
 	if code, msg := post(); code != http.StatusAccepted {
 		t.Errorf("config without Shards: status %d (%s), want 202", code, msg)
+	}
+}
+
+// TestSubmitRejectsOversizedProfile: a full config whose workload asks
+// for a hot pool or revisit ring far past its working set (each of these
+// would have NewMixture allocate 64 GiB) is a 400 naming the field, and
+// nothing is queued or built.
+func TestSubmitRejectsOversizedProfile(t *testing.T) {
+	var ran atomic.Int64
+	srv, ts := newTestServer(t, Options{Sim: countingSim(&ran, instantSim)})
+	w, err := trace.WorkloadByName("GemsFDTD")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		field  string
+		mutate func(*trace.Profile)
+	}{
+		{"HotRegions", func(p *trace.Profile) { p.HotRegions = 1 << 33 }},
+		{"SweepGapRegions", func(p *trace.Profile) { p.SweepGapRegions = 1 << 33 }},
+	} {
+		cfg := sim.DefaultConfig(sim.RRMScheme(), w)
+		cfg.Workload.Cores = slices.Clone(cfg.Workload.Cores)
+		c.mutate(&cfg.Workload.Cores[2])
+		body, err := json.Marshal(map[string]any{"config": cfg})
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.Post(ts.URL+"/api/v1/jobs", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var e map[string]string
+		_ = json.NewDecoder(resp.Body).Decode(&e)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(e["error"], c.field) {
+			t.Errorf("%s = 1<<33: status %d error %q, want 400 naming the field", c.field, resp.StatusCode, e["error"])
+		}
+	}
+	if n := srv.QueueDepth(); n != 0 || ran.Load() != 0 {
+		t.Errorf("rejected submits left %d queued, %d run", n, ran.Load())
 	}
 }
 

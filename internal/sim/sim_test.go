@@ -3,6 +3,7 @@ package sim
 import (
 	"math"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
@@ -45,6 +46,16 @@ func TestConfigValidation(t *testing.T) {
 		func(c *Config) { c.Scheme = Scheme{Kind: SchemeRRM} },
 		func(c *Config) { c.Scheme = Scheme{Kind: SchemeCustom} },
 		func(c *Config) { c.Scheme = Scheme{Kind: SchemeKind(9)} },
+		// Profile fields that size New's allocations (1<<33 of either
+		// would ask for 64 GiB; never built here).
+		func(c *Config) {
+			c.Workload.Cores = slices.Clone(c.Workload.Cores)
+			c.Workload.Cores[1].HotRegions = 1 << 33
+		},
+		func(c *Config) {
+			c.Workload.Cores = slices.Clone(c.Workload.Cores)
+			c.Workload.Cores[1].SweepGapRegions = 1 << 33
+		},
 	}
 	for i, mutate := range bad {
 		cfg := DefaultConfig(RRMScheme(), w)
@@ -477,9 +488,12 @@ func TestRefreshRateBookkeepingUnderTimeScale(t *testing.T) {
 // cheap. Every sampled window fork and every detailed run pays for New,
 // so a dense per-address array (one entry per 4 KB region of the 8 GB
 // device is 8 MiB) must not creep back in unnoticed. The cache
-// hierarchy's line words (one uint64 per line, ~0.95 MB) are most of it.
+// hierarchy's line words (one uint64 per line, ~0.95 MB) are most of it;
+// the packed RRM table (64 B per entry, ~0.38 MiB) is next. The hot-region
+// lookup tables are shared across Systems and cost nothing here once
+// built.
 func TestNewAllocBudget(t *testing.T) {
-	const budget = 2 << 20
+	const budget = 3 << 19 // 1.5 MiB
 	w, err := trace.WorkloadByName("GemsFDTD")
 	if err != nil {
 		t.Fatal(err)

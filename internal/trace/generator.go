@@ -3,6 +3,7 @@ package trace
 import (
 	"fmt"
 	"math"
+	"sync"
 )
 
 // Op is one unit of work from a generator: NonMem non-memory instructions
@@ -39,7 +40,9 @@ type Mixture struct {
 	// instead of a math.Pow call (~half the generator's cost). The
 	// boundaries are refined to exact float64 adjacency against the
 	// original int(Pow(u, skew)*n) expression, so the chosen region is
-	// bit-identical to evaluating it directly.
+	// bit-identical to evaluating it directly. It and hotCells depend
+	// only on (HotRegions, HotSkew) and are read-only: built-in profiles
+	// share one copy per process (see builtinHotTables).
 	hotThresholds []float64
 
 	// hotCells[j] counts thresholds strictly below j*2^-12: a draw u in
@@ -114,8 +117,7 @@ func NewMixture(prof Profile, base, span uint64, seed uint64) (*Mixture, error) 
 			m.hotBases[i] = base + region<<12
 		}
 		if len(m.hotBases) > 1 {
-			m.hotThresholds = buildHotThresholds(len(m.hotBases), prof.HotSkew)
-			m.hotCells = buildHotCells(m.hotThresholds)
+			m.hotThresholds, m.hotCells = builtinHotTables().tables(len(m.hotBases), prof.HotSkew)
 		}
 	}
 	return m, nil
@@ -127,7 +129,7 @@ func NewMixture(prof Profile, base, span uint64, seed uint64) (*Mixture, error) 
 // patterns, so the exact float boundary is found by galloping out from
 // the analytic inverse (i/n)^(1/skew) — within a few ulps of the true
 // edge — and bit-bisecting the bracket. Construction costs a handful of
-// Pow calls per bucket, once per generator.
+// Pow calls per bucket (see builtinHotTables for who pays it).
 func buildHotThresholds(n int, skew float64) []float64 {
 	fn := float64(n)
 	pred := func(b uint64, i int) bool {
@@ -193,6 +195,59 @@ func buildHotCells(th []float64) []int32 {
 	}
 	return cells
 }
+
+// hotKey identifies one power-law lookup table.
+type hotKey struct {
+	regions int
+	skew    float64
+}
+
+// sharedHotTable is one lazily built, then read-only, lookup table.
+type sharedHotTable struct {
+	once       sync.Once
+	thresholds []float64
+	cells      []int32
+}
+
+// hotMemo holds one table slot per (HotRegions, HotSkew) pair of a fixed
+// profile set. Its key set never changes after construction, so it is
+// bounded by construction and safe to read from any goroutine; each
+// slot's table is built on first use.
+type hotMemo map[hotKey]*sharedHotTable
+
+func newHotMemo(profiles []Profile) hotMemo {
+	m := make(hotMemo)
+	for _, p := range profiles {
+		if p.HotRegions > 1 {
+			m[hotKey{p.HotRegions, p.HotSkew}] = &sharedHotTable{}
+		}
+	}
+	return m
+}
+
+// tables returns the threshold table and its cell index for an n-region
+// pool with the given skew. A memoised pair is built once and then
+// shared; any other pair is built for the caller alone, so arbitrary
+// submitted profiles cannot grow the memo.
+func (m hotMemo) tables(n int, skew float64) ([]float64, []int32) {
+	t, ok := m[hotKey{n, skew}]
+	if !ok {
+		th := buildHotThresholds(n, skew)
+		return th, buildHotCells(th)
+	}
+	t.once.Do(func() {
+		t.thresholds = buildHotThresholds(n, skew)
+		t.cells = buildHotCells(t.thresholds)
+	})
+	return t.thresholds, t.cells
+}
+
+// builtinHotTables is the process-wide memo over the built-in Profiles.
+// Building a table costs ~5 Pow calls per region, most of a sim.New, and
+// every sampled fork and service job builds a System. Tables are built
+// on first use, never at init, so a process pins only the ones its
+// workloads need (all nine would be ~400 KB).
+var builtinHotTables = sync.OnceValue(func() hotMemo { return newHotMemo(Profiles()) })
 
 // Name implements Generator.
 func (m *Mixture) Name() string { return m.prof.Name }

@@ -107,6 +107,15 @@ func (p Profile) Validate() error {
 	if p.HotBlockSpan < 0 || p.HotBlockSpan > 64 {
 		return fmt.Errorf("trace %s: HotBlockSpan %d", p.Name, p.HotBlockSpan)
 	}
+	// The two fields below size NewMixture's allocations, so they are
+	// bounded by what they describe rather than left to exhaust memory.
+	if p.HotRegions < 0 || uint64(p.HotRegions) > p.WorkingSetBytes>>12 {
+		return fmt.Errorf("trace %s: HotRegions %d exceeds the %d distinct 4 KB regions of the working set",
+			p.Name, p.HotRegions, p.WorkingSetBytes>>12)
+	}
+	if p.SweepGapRegions < 0 || p.SweepGapRegions > maxRevisit-2 {
+		return fmt.Errorf("trace %s: SweepGapRegions %d out of [0, %d]", p.Name, p.SweepGapRegions, maxRevisit-2)
+	}
 	return nil
 }
 

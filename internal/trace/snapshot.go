@@ -5,6 +5,11 @@ import "rrmpcm/internal/snapshot"
 // Section tag for Mixture state inside a system snapshot.
 const snapSection = 0x5452 // "TR"
 
+// maxRevisit bounds the revisit ring a snapshot may carry. NewMixture
+// sizes the ring at SweepGapRegions+2, so Profile.Validate bounds the
+// gap by it too.
+const maxRevisit = 1 << 20
+
 // Snapshot writes the generator's mutable stream state. The profile,
 // address partition and hot pool are construction-time constants (the
 // hot pool is derived deterministically from the seed before the stream
@@ -33,7 +38,7 @@ func (m *Mixture) Restore(r *snapshot.Reader) {
 	m.sweepBase = r.U64()
 	m.sweepNext = int(r.I64())
 	m.sweepLeft = int(r.I64())
-	n := r.Count(1 << 20)
+	n := r.Count(maxRevisit)
 	m.revisitHead = 0
 	m.revisitLen = 0
 	for i := 0; i < n; i++ {

@@ -82,6 +82,16 @@ func TestProfileValidation(t *testing.T) {
 		func(p *Profile) { p.WorkingSetBytes = 0 },
 		func(p *Profile) { p.HotSkew = 0.5 },
 		func(p *Profile) { p.HotBlockSpan = 65 },
+		// Allocation-sizing fields: hot regions are distinct 4 KB
+		// regions of the working set, and the revisit ring is bounded
+		// by what Restore accepts. (Never built: 1<<33 would ask
+		// NewMixture for 64 GiB.)
+		func(p *Profile) { p.HotRegions = int(p.WorkingSetBytes>>12) + 1 },
+		func(p *Profile) { p.HotRegions = 1 << 33 },
+		func(p *Profile) { p.HotRegions = -1; p.HotLoadFrac = 0; p.HotStoreFrac = 0 },
+		func(p *Profile) { p.SweepGapRegions = 1<<20 - 1 },
+		func(p *Profile) { p.SweepGapRegions = 1 << 33 },
+		func(p *Profile) { p.SweepGapRegions = -1 },
 	}
 	for i, mutate := range bad {
 		p := base
@@ -89,6 +99,13 @@ func TestProfileValidation(t *testing.T) {
 		if err := p.Validate(); err == nil {
 			t.Errorf("case %d accepted", i)
 		}
+	}
+	// The bounds are inclusive.
+	p := base
+	p.HotRegions = int(p.WorkingSetBytes >> 12)
+	p.SweepGapRegions = 1<<20 - 2
+	if err := p.Validate(); err != nil {
+		t.Errorf("largest in-bound pool and gap rejected: %v", err)
 	}
 }
 
