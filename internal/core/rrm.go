@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"slices"
+	"strings"
 
 	"rrmpcm/internal/pcm"
 	"rrmpcm/internal/timing"
@@ -39,6 +41,16 @@ type RRMConfig struct {
 	// paper uses 2 s: 0.01 s before the 2.01 s retention of the
 	// 3-SETs-Write expires.
 	FastRefreshInterval timing.Time
+
+	// MidTiers grades regions between LongMode and ShortMode, slowest
+	// first: a region that reaches a tier's Threshold dirty writes
+	// writes its blocks with the tier's Mode, refreshed every
+	// RefreshInterval. LongMode is the base tier and ShortMode, at
+	// HotThreshold, the top one. Empty — the default — is the paper's
+	// two-mode monitor (§IV-A picks two modes "for implementation
+	// simplicity"); ablation A4 adds 5-SETs at 8 dirty writes.
+	MidTiers []RRMTier `json:",omitempty"`
+
 	// DecayInterval is the decay tick period (0.125 s: 1/16 of the
 	// fast-refresh interval, matching the 4-bit decay counter).
 	DecayInterval timing.Time
@@ -60,6 +72,14 @@ type RRMConfig struct {
 	// for ablation A2; the paper argues (§IV-D) this misclassifies
 	// streaming regions as hot.
 	RegisterCleanWrites bool
+}
+
+// RRMTier is one intermediate write tier of the monitor (see
+// RRMConfig.MidTiers).
+type RRMTier struct {
+	Mode            pcm.WriteMode
+	Threshold       int         // dirty writes that promote a region to this tier
+	RefreshInterval timing.Time // must undercut Mode's retention
 }
 
 // DefaultRRMConfig returns the Table IV RRM: 256 sets, 24 ways, 4 KB
@@ -118,7 +138,42 @@ func (c RRMConfig) Validate() error {
 	if c.DecayInterval <= 0 || c.DecayBits <= 0 || c.DecayBits > 16 {
 		return fmt.Errorf("core: decay interval %v / bits %d", c.DecayInterval, c.DecayBits)
 	}
+	// Each mid tier is strictly faster and strictly easier to leave
+	// than the one below it, which bounds the list by the modes between
+	// ShortMode and LongMode (three at most).
+	slower, below := c.LongMode, 0
+	for k, t := range c.MidTiers {
+		if !t.Mode.Valid() || t.Mode >= slower || t.Mode <= c.ShortMode {
+			return fmt.Errorf("core: mid tier %d mode %v must be faster than %v and slower than short mode %v",
+				k, t.Mode, slower, c.ShortMode)
+		}
+		if t.Threshold <= below || t.Threshold >= c.HotThreshold {
+			return fmt.Errorf("core: mid tier %d threshold %d must be in (%d, %d)",
+				k, t.Threshold, below, c.HotThreshold)
+		}
+		if t.RefreshInterval <= 0 || t.RefreshInterval >= pcm.Retention(t.Mode) {
+			return fmt.Errorf("core: mid tier %d refresh interval %v must be positive and below the %v retention %v",
+				k, t.RefreshInterval, t.Mode, pcm.Retention(t.Mode))
+		}
+		slower, below = t.Mode, t.Threshold
+	}
 	return nil
+}
+
+// Name labels the monitor in reports: "RRM" for the paper's two-tier
+// monitor, the tiers' SETs counts slowest first ("RRM-7/5/3") for a
+// tiered one.
+func (c RRMConfig) Name() string {
+	if len(c.MidTiers) == 0 {
+		return "RRM"
+	}
+	var b strings.Builder
+	fmt.Fprintf(&b, "RRM-%d", c.LongMode.Sets())
+	for _, t := range c.MidTiers {
+		fmt.Fprintf(&b, "/%d", t.Mode.Sets())
+	}
+	fmt.Fprintf(&b, "/%d", c.ShortMode.Sets())
+	return b.String()
 }
 
 // BlocksPerRegion returns the short-retention vector width.
@@ -130,16 +185,18 @@ func (c RRMConfig) CoveredBytes() uint64 {
 }
 
 // EntryBits returns the storage cost of one RRM entry, using the paper's
-// field accounting: valid(1) + addr tag + hot(1) + dirty-write counter +
-// short-retention vector + decay counter. With the defaults this is
-// 1+52+1+6+64+4 = 128 bits.
+// field accounting: valid(1) + addr tag + tier + dirty-write counter +
+// one vector per tier above LongMode + decay counter. With the defaults
+// (the tier is the paper's one hot bit) this is 1+52+1+6+64+4 = 128
+// bits; A4's three tiers take 1+52+2+6+2×64+4 = 193.
 func (c RRMConfig) EntryBits() int {
 	addrBits := 64 - bits.TrailingZeros64(c.RegionBytes)
 	counterBits := bits.Len(uint(c.HotThreshold))
 	if counterBits < 6 {
 		counterBits = 6
 	}
-	return 1 + addrBits + 1 + counterBits + c.BlocksPerRegion() + c.DecayBits
+	tiers := len(c.MidTiers) + 1
+	return 1 + addrBits + bits.Len(uint(tiers)) + counterBits + tiers*c.BlocksPerRegion() + c.DecayBits
 }
 
 // StorageBytes returns the total RRM storage (Table VIII).
@@ -151,32 +208,38 @@ func (c RRMConfig) StorageBytes() uint64 {
 // 64 B blocks need 256 bits).
 const maxBlocksPerRegion = 256
 
-// vectorWords is the short-retention vector's width in the snapshot
-// format (and in MultiModeRRM), whatever the configured region size.
+// vectorWords is a tier vector's width in the snapshot format, whatever
+// the configured region size.
 const vectorWords = maxBlocksPerRegion / 64
 
-// entry is one RRM entry (paper §IV-C) minus its short-retention vector,
-// which lives in RRM.vecs. The counters are held at the 32-bit widths
-// the snapshot writes them in, and the promotion generations at 32 bits,
-// so an entry is 56 host bytes: 64 B with the default one-word vector,
-// against the paper's 128-bit EntryBits.
+// tierTimer is the bookkeeping of one tier's per-entry refresh timer.
+// gen is the tier's promotion generation: it advances when the entry
+// enters the tier and when the entry is flushed. The pending event
+// (at, seq) is live while armedGen == gen and the entry sits at the
+// tier or above; reallocation, a flush or a re-promotion leaves a dead
+// timer pending whose generation no longer matches.
+type tierTimer struct {
+	at       timing.Time
+	seq      int64
+	armedGen int32
+	gen      int32
+}
+
+// entry is one RRM entry (paper §IV-C) minus its vectors, which live in
+// RRM.vecs and RRM.mid. The counters are held at the 32-bit widths
+// the snapshot writes them in, and the generations at 32 bits, so an
+// entry is 56 host bytes: 64 B with the default one-word vector, against
+// the paper's 128-bit EntryBits.
 type entry struct {
 	tag     uint64 // region number
 	lastUse uint64 // LRU timestamp
 
-	// Live refresh-timer descriptor (snapshot bookkeeping): the pending
-	// event of the current promotion generation's timer. Valid only
-	// while timerGen == hotGen — reallocation or re-promotion leaves a
-	// dead timer pending whose fields no longer match.
-	timerAt  timing.Time
-	timerSeq int64
-	timerGen int32
+	timer tierTimer // the top (ShortMode) tier's refresh timer
 
-	hotGen       int32  // promotion generation; ends on demote/evict
 	dirtyWrites  uint32 // saturates at HotThreshold
 	decayCounter uint32
 	valid        bool
-	hot          bool
+	tier         uint8 // 0 = LongMode … RRM.top = ShortMode ("hot")
 }
 
 // Stats counts RRM activity.
@@ -188,16 +251,16 @@ type Stats struct {
 	Allocations    uint64
 	Evictions      uint64
 	EvictionFlush  uint64 // slow refreshes issued for evicted live entries
-	Promotions     uint64 // cold -> hot transitions
-	Demotions      uint64 // hot -> cold decay transitions
-	FastRefreshes  uint64 // 3-SETs refreshes issued
-	SlowRefreshes  uint64 // 7-SETs refreshes issued on demotion/eviction
-	ShortDecisions uint64 // memory writes steered to ShortMode
+	Promotions     uint64 // promotions into a faster tier
+	Demotions      uint64 // decay demotions down to the LongMode tier
+	FastRefreshes  uint64 // refreshes in any faster-than-long tier's mode
+	SlowRefreshes  uint64 // LongMode refreshes issued on demotion/eviction
+	ShortDecisions uint64 // memory writes steered to any faster-than-long tier
 	LongDecisions  uint64 // memory writes left at LongMode
 }
 
 // ShortWriteFraction returns the fraction of write decisions steered to
-// the fast mode.
+// a faster-than-long mode.
 func (s Stats) ShortWriteFraction() float64 {
 	total := s.ShortDecisions + s.LongDecisions
 	if total == 0 {
@@ -211,8 +274,9 @@ type RRM struct {
 	cfg    RRMConfig
 	issuer RefreshIssuer
 	// entries is the table, set-major: set s is entries[s*Ways:][:Ways].
-	// Entry i's short-retention vector is vecs[i*vecWords:][:vecWords],
-	// sized from BlocksPerRegion rather than the 256-block maximum.
+	// Entry i's short-retention (top-tier) vector is
+	// vecs[i*vecWords:][:vecWords], sized from BlocksPerRegion rather
+	// than the 256-block maximum.
 	entries  []entry
 	vecs     []uint64
 	vecWords int
@@ -220,8 +284,11 @@ type RRM struct {
 	useClock uint64
 	stats    Stats
 
-	regionShift uint
-	blockShift  uint
+	// top is ShortMode's tier index, len(MidTiers)+1; mid holds the
+	// mid tiers' vectors and timers, nil for the paper's two-tier
+	// monitor (which keeps sim.New's footprint unchanged).
+	top int
+	mid *midTables
 
 	decayWrap int
 
@@ -236,6 +303,17 @@ type RRM struct {
 	// sampling skips, when time passes but no traffic flows. Transient —
 	// never set while a snapshot is taken, so it is not serialized.
 	decaySuspended bool
+
+	regionShift uint8
+	blockShift  uint8
+}
+
+// midTables holds a tiered monitor's mid-tier state: mid tier t
+// (0 < t < top) of entry i keeps its vector at vecs[k*vecWords:][:vecWords]
+// and its refresh timer at timers[k], with k = i*(top-1)+t-1.
+type midTables struct {
+	vecs   []uint64
+	timers []tierTimer
 }
 
 // NewRRM builds the monitor. The issuer receives the selective refresh
@@ -257,9 +335,17 @@ func NewRRM(cfg RRMConfig, issuer RefreshIssuer) (*RRM, error) {
 		vecWords:  vecWords,
 		setMask:   uint64(cfg.Sets - 1),
 		decayWrap: 1 << cfg.DecayBits,
+		top:       len(cfg.MidTiers) + 1,
 	}
-	r.regionShift = uint(bits.TrailingZeros64(cfg.RegionBytes))
-	r.blockShift = uint(bits.TrailingZeros64(cfg.BlockBytes))
+	if mid := len(cfg.MidTiers); mid > 0 {
+		r.cfg.MidTiers = slices.Clone(cfg.MidTiers)
+		r.mid = &midTables{
+			vecs:   make([]uint64, n*mid*vecWords),
+			timers: make([]tierTimer, n*mid),
+		}
+	}
+	r.regionShift = uint8(bits.TrailingZeros64(cfg.RegionBytes))
+	r.blockShift = uint8(bits.TrailingZeros64(cfg.BlockBytes))
 	return r, nil
 }
 
@@ -269,8 +355,8 @@ func (r *RRM) Config() RRMConfig { return r.cfg }
 // Stats returns a copy of the counters.
 func (r *RRM) Stats() Stats { return r.stats }
 
-// Name implements WritePolicy.
-func (r *RRM) Name() string { return "RRM" }
+// Name implements WritePolicy (see RRMConfig.Name).
+func (r *RRM) Name() string { return r.cfg.Name() }
 
 // DecisionLatency implements WritePolicy.
 func (r *RRM) DecisionLatency() timing.Time { return r.cfg.AccessLatency }
@@ -285,20 +371,68 @@ func (r *RRM) blockIndex(addr uint64) int {
 	return int((addr >> r.blockShift) & (uint64(r.cfg.BlocksPerRegion()) - 1))
 }
 
-// vec returns entry i's short-retention vector; vecGet, vecSet,
-// vecClear and vecPopCount read and write it.
+// vec returns entry i's short-retention vector; vecGet and vecSet read
+// and write its bits.
 func (r *RRM) vec(i int) []uint64 { return r.vecs[i*r.vecWords : (i+1)*r.vecWords] }
 func (r *RRM) vecGet(i, b int) bool {
 	return r.vecs[i*r.vecWords+b>>6]&(1<<(uint(b)&63)) != 0
 }
 func (r *RRM) vecSet(i, b int) { r.vecs[i*r.vecWords+b>>6] |= 1 << (uint(b) & 63) }
-func (r *RRM) vecClear(i int)  { clear(r.vec(i)) }
-func (r *RRM) vecPopCount(i int) int {
-	n := 0
-	for _, w := range r.vec(i) {
-		n += bits.OnesCount64(w)
+
+// tierVec returns entry i's vector for tier t (0 < t <= top).
+func (r *RRM) tierVec(i, t int) []uint64 {
+	if t == r.top {
+		return r.vec(i)
 	}
-	return n
+	k := (i*(r.top-1) + t - 1) * r.vecWords
+	return r.mid.vecs[k : k+r.vecWords]
+}
+
+// timer returns entry i's refresh-timer bookkeeping for tier t.
+func (r *RRM) timer(i, t int) *tierTimer {
+	if t == r.top {
+		return &r.entries[i].timer
+	}
+	return &r.mid.timers[i*(r.top-1)+t-1]
+}
+
+// tierMode, tierThreshold and tierInterval give tier t's write mode,
+// promote threshold and refresh period (0 < t <= top). Tier 0 is
+// LongMode, which has no vector or timer; its threshold is
+// HotThreshold, so the decay rule treats it as the paper's cold state.
+func (r *RRM) tierMode(t int) pcm.WriteMode {
+	if t == r.top {
+		return r.cfg.ShortMode
+	}
+	return r.cfg.MidTiers[t-1].Mode
+}
+
+func (r *RRM) tierThreshold(t int) uint32 {
+	if t == 0 || t == r.top {
+		return uint32(r.cfg.HotThreshold)
+	}
+	return uint32(r.cfg.MidTiers[t-1].Threshold)
+}
+
+func (r *RRM) tierInterval(t int) timing.Time {
+	if t == r.top {
+		return r.cfg.FastRefreshInterval
+	}
+	return r.cfg.MidTiers[t-1].RefreshInterval
+}
+
+// tierAt returns the tier whose threshold is exactly n dirty writes, or
+// 0 when n is no tier's threshold.
+func (r *RRM) tierAt(n uint32) int {
+	if n == uint32(r.cfg.HotThreshold) {
+		return r.top
+	}
+	for k, t := range r.cfg.MidTiers {
+		if n == uint32(t.Threshold) {
+			return k + 1
+		}
+	}
+	return 0
 }
 
 // setBase returns the index of the first entry of region's set.
@@ -339,16 +473,19 @@ func (r *RRM) RegisterLLCWrite(addr uint64, wasDirty bool, now timing.Time) {
 
 	if e.dirtyWrites < uint32(r.cfg.HotThreshold) {
 		e.dirtyWrites++
-		if e.dirtyWrites == uint32(r.cfg.HotThreshold) && !e.hot {
-			e.hot = true
-			e.hotGen++
+		if t := r.tierAt(e.dirtyWrites); t > int(e.tier) {
+			e.tier = uint8(t)
+			r.timer(i, t).gen++
 			r.stats.Promotions++
-			r.armEntryTimer(i)
+			r.armTierTimer(i, t)
 		}
 	}
-	if e.hot {
-		// Future memory writes to this block use the fast mode.
+	// Future memory writes to this block use the entry's tier mode.
+	if t := int(e.tier); t == r.top {
 		r.vecSet(i, r.blockIndex(addr))
+	} else if t > 0 {
+		b := r.blockIndex(addr)
+		r.tierVec(i, t)[b>>6] |= 1 << (uint(b) & 63)
 	}
 }
 
@@ -383,16 +520,22 @@ func (r *RRM) allocate(region uint64) int {
 	return base + victim
 }
 
-// flushEntry issues slow refreshes for every live short-retention block
-// of entry i, counting them in counter.
+// flushEntry issues one slow refresh for every block of entry i tracked
+// in any tier, counting them in counter, and drops the entry to the
+// LongMode tier, ending every tier's timer generation.
 func (r *RRM) flushEntry(i int, counter *uint64) {
 	e := &r.entries[i]
 	if !e.valid {
 		return
 	}
 	base := e.tag << r.regionShift
-	for b := 0; b < r.cfg.BlocksPerRegion(); b++ {
-		if r.vecGet(i, b) {
+	for w := 0; w < r.vecWords; w++ {
+		word := r.vecs[i*r.vecWords+w]
+		for t := 1; t < r.top; t++ {
+			word |= r.tierVec(i, t)[w]
+		}
+		for ; word != 0; word &= word - 1 {
+			b := w*64 + bits.TrailingZeros64(word)
 			r.issuer.IssueRefresh(base+uint64(b)<<r.blockShift, r.cfg.LongMode, pcm.WearSlowRefresh)
 			r.stats.SlowRefreshes++
 			if counter != nil {
@@ -400,60 +543,66 @@ func (r *RRM) flushEntry(i int, counter *uint64) {
 			}
 		}
 	}
-	r.vecClear(i)
-	e.hot = false
-	e.hotGen++
+	for t := 1; t <= r.top; t++ {
+		clear(r.tierVec(i, t))
+		r.timer(i, t).gen++
+	}
+	e.tier = 0
 }
 
 // DecideWriteMode implements WritePolicy (paper §IV-E, Figure 6 bottom
 // left): a hit with the block's short-retention bit set selects the fast
-// mode, everything else the slow default.
+// mode, a bit in a mid tier's vector that tier's mode (the fastest such
+// tier wins), everything else the slow default.
 func (r *RRM) DecideWriteMode(addr uint64, now timing.Time) pcm.WriteMode {
-	if i := r.lookup(r.region(addr)); i >= 0 && r.vecGet(i, r.blockIndex(addr)) {
-		r.stats.ShortDecisions++
-		return r.cfg.ShortMode
+	if i := r.lookup(r.region(addr)); i >= 0 {
+		b := r.blockIndex(addr)
+		if r.vecGet(i, b) {
+			r.stats.ShortDecisions++
+			return r.cfg.ShortMode
+		}
+		for t := r.top - 1; t > 0; t-- {
+			if r.tierVec(i, t)[b>>6]&(1<<(uint(b)&63)) != 0 {
+				r.stats.ShortDecisions++
+				return r.tierMode(t)
+			}
+		}
 	}
 	r.stats.LongDecisions++
 	return r.cfg.LongMode
 }
 
 // FastRefreshTick performs one short-retention interrupt (paper §IV-F,
-// Figure 6 bottom middle): every short-retention block of every hot entry
-// is re-written with the fast mode through the high-priority RRM refresh
-// queue.
-//
-// When eq is non-nil the per-entry refreshes are issued staggered: each
-// entry has a fixed phase (a hash of its tag) within the first half of
-// the refresh interval, so every entry is still refreshed exactly once
-// per interval — the deadline guarantee is unchanged — but the memory
-// controller sees a smooth refresh stream instead of a burst of every
-// hot block at once. Controllers stagger refresh for the same reason.
-// With eq nil all refreshes issue immediately (tests, simple uses).
+// Figure 6 bottom middle) without a clock: every tracked block of every
+// promoted entry is re-written with its tier's mode through the
+// high-priority RRM refresh queue. Attached to a simulation (Start), the
+// per-entry timers of armTierTimer issue the same refreshes staggered
+// instead.
 func (r *RRM) FastRefreshTick(now timing.Time) {
 	for i := range r.entries {
-		if e := &r.entries[i]; e.valid && e.hot {
-			r.refreshEntryBlocks(i)
+		if e := &r.entries[i]; e.valid {
+			for t := 1; t <= int(e.tier); t++ {
+				r.refreshTierBlocks(i, t)
+			}
 		}
 	}
 }
 
-// refreshEntryBlocks issues fast refreshes for the (sampled) short-
-// retention blocks of entry i, returning how many were issued.
-func (r *RRM) refreshEntryBlocks(i int) int {
+// refreshTierBlocks issues refreshes in tier t's mode for the (sampled)
+// blocks of entry i's tier-t vector.
+func (r *RRM) refreshTierBlocks(i, t int) {
 	base := r.entries[i].tag << r.regionShift
-	n := 0
-	for b := 0; b < r.cfg.BlocksPerRegion(); b++ {
-		if r.vecGet(i, b) {
-			addr := base + uint64(b)<<r.blockShift
+	mode := r.tierMode(t)
+	for w, word := range r.tierVec(i, t) {
+		for ; word != 0; word &= word - 1 {
+			addr := base + uint64(w*64+bits.TrailingZeros64(word))<<r.blockShift
 			if !SampledBlock(addr, r.cfg.RefreshSampling) {
 				continue
 			}
-			r.issuer.IssueRefresh(addr, r.cfg.ShortMode, pcm.WearRRMRefresh)
+			r.issuer.IssueRefresh(addr, mode, pcm.WearRRMRefresh)
 			r.stats.FastRefreshes++
-			n++
 		}
 	}
-	return n
 }
 
 // SampledBlock reports whether a block participates in the 1-in-sampling
@@ -475,58 +624,69 @@ func (r *RRM) RefreshSampling() uint64 {
 	return r.cfg.RefreshSampling
 }
 
-// armEntryTimer starts a per-entry periodic refresh timer for a freshly
-// promoted entry. Each hot entry carries its own timer with period
-// exactly FastRefreshInterval, started at promotion, so:
+// armTierTimer starts entry i's periodic refresh timer for tier t, which
+// the entry has just entered. Each promoted entry carries its own timer
+// per tier, with period exactly that tier's refresh interval, started at
+// promotion, so:
 //
-//   - every short-retention bit is refreshed at most one interval after
-//     it is set (the bit can only be set while the entry is hot, i.e.
-//     while the timer is live), which meets the retention deadline of
-//     interval + 0.01 s with the issue slack to spare; and
+//   - every tier-t bit is refreshed at most one interval after it is set
+//     (the bit can only be set while the entry sits at tier t, and the
+//     timer stays live while the entry sits at tier t or above), which
+//     meets the retention deadline with the issue slack to spare; and
 //   - refresh traffic is naturally staggered by promotion times instead
 //     of arriving as a burst of every hot block at once — the same
 //     reason DRAM controllers stagger refresh.
 //
-// The timer dies silently when its promotion generation ends (demotion,
+// The timer dies silently when the tier's generation ends (demotion,
 // eviction, or reallocation of the entry); those paths slow-refresh the
 // live blocks themselves.
-func (r *RRM) armEntryTimer(i int) {
+func (r *RRM) armTierTimer(i, t int) {
 	if r.eq == nil {
 		return // not attached to a simulation; FastRefreshTick drives refreshes
 	}
 	// Small deterministic jitter so simultaneous promotions (e.g. at
 	// program phase changes) do not fire in lockstep forever. Firing
 	// early never violates a deadline.
-	jitter := timing.Time((r.entries[i].tag * 0x9E3779B97F4A7C15) % uint64(r.cfg.FastRefreshInterval/64+1))
-	r.scheduleEntryTimer(i, r.eq.Now()+r.cfg.FastRefreshInterval-jitter)
+	iv := r.tierInterval(t)
+	jitter := timing.Time((r.entries[i].tag * 0x9E3779B97F4A7C15) % uint64(iv/64+1))
+	r.scheduleTierTimer(i, t, r.eq.Now()+iv-jitter)
 }
 
-// scheduleEntryTimer arms entry i's refresh timer at the given time,
-// binding it to the entry's current (tag, generation) and recording the
-// event descriptor on the entry so snapshots can re-create it.
-func (r *RRM) scheduleEntryTimer(i int, at timing.Time) {
+// scheduleTierTimer arms entry i's tier-t refresh timer at the given
+// time, binding it to the entry's tag and the tier's current generation
+// and recording the event descriptor so snapshots can re-create it.
+func (r *RRM) scheduleTierTimer(i, t int, at timing.Time) {
 	e := &r.entries[i]
-	tag, gen := e.tag, e.hotGen
+	tm := r.timer(i, t)
+	tag, gen, iv := e.tag, tm.gen, r.tierInterval(t)
 	var fire func(now timing.Time)
 	fire = func(now timing.Time) {
-		if !e.valid || !e.hot || e.tag != tag || e.hotGen != gen {
+		if !e.valid || int(e.tier) < t || e.tag != tag || tm.gen != gen {
 			return
 		}
-		r.refreshEntryBlocks(i)
-		next := now + r.cfg.FastRefreshInterval
-		e.timerAt = next
-		e.timerSeq = r.eq.Schedule(next, fire).Seq()
+		r.refreshTierBlocks(i, t)
+		next := now + iv
+		tm.at = next
+		tm.seq = r.eq.Schedule(next, fire).Seq()
 	}
-	e.timerGen = gen
-	e.timerAt = at
-	e.timerSeq = r.eq.Schedule(at, fire).Seq()
+	tm.armedGen = gen
+	tm.at = at
+	tm.seq = r.eq.Schedule(at, fire).Seq()
+}
+
+// timerLive reports whether entry i's tier-t timer has a live pending
+// event (snapshot bookkeeping).
+func (r *RRM) timerLive(i, t int) bool {
+	tm := r.timer(i, t)
+	return r.eq != nil && r.entries[i].valid && int(r.entries[i].tier) >= t && tm.armedGen == tm.gen
 }
 
 // DecayTick advances every entry's cyclic decay counter (paper §IV-G,
-// Figure 6 bottom right). On wrap, an entry that re-accumulated a full
-// hot_threshold of dirty writes stays hot with its counter halved; any
-// other hot entry is demoted: its short-retention blocks are re-written
-// with slow long-retention refreshes and its vector cleared.
+// Figure 6 bottom right). On wrap, an entry that re-accumulated its own
+// tier's threshold of dirty writes keeps its tier with its counter
+// halved; any other promoted entry is demoted all the way down: every
+// tracked block is re-written with a slow long-retention refresh and
+// its vectors cleared.
 func (r *RRM) DecayTick(now timing.Time) {
 	for i := range r.entries {
 		e := &r.entries[i]
@@ -538,12 +698,12 @@ func (r *RRM) DecayTick(now timing.Time) {
 			continue
 		}
 		e.decayCounter = 0
-		if e.dirtyWrites >= uint32(r.cfg.HotThreshold) {
-			// Still hot: halve the counter and re-check next wrap.
+		if e.dirtyWrites >= r.tierThreshold(int(e.tier)) {
+			// Still busy enough: halve the counter and re-check next wrap.
 			e.dirtyWrites /= 2
 			continue
 		}
-		if e.hot {
+		if e.tier > 0 {
 			r.stats.Demotions++
 			r.flushEntry(i, nil)
 		}
@@ -551,13 +711,16 @@ func (r *RRM) DecayTick(now timing.Time) {
 }
 
 // Start attaches the monitor to a simulation clock: the periodic decay
-// tick is armed, and every hot entry (current and future) gets its own
-// per-interval refresh timer (see armEntryTimer).
+// tick is armed, and every promoted entry (current and future) gets its
+// own per-interval refresh timer for each tier up to its own (see
+// armTierTimer).
 func (r *RRM) Start(eq *timing.EventQueue) {
 	r.eq = eq
 	for i := range r.entries {
-		if e := &r.entries[i]; e.valid && e.hot {
-			r.armEntryTimer(i)
+		if e := &r.entries[i]; e.valid {
+			for t := 1; t <= int(e.tier); t++ {
+				r.armTierTimer(i, t)
+			}
 		}
 	}
 	r.armDecay(eq.Now() + r.cfg.DecayInterval)
@@ -586,13 +749,21 @@ func (r *RRM) armDecay(at timing.Time) {
 	r.decaySeq = r.eq.Schedule(at, r.decayFn).Seq()
 }
 
-// HotEntries returns the current number of hot entries and tracked
-// short-retention blocks (metrics).
+// HotEntries returns the current number of promoted entries and the
+// blocks they track in any faster-than-long tier (metrics).
 func (r *RRM) HotEntries() (hotEntries, shortBlocks int) {
 	for i := range r.entries {
-		if e := &r.entries[i]; e.valid && e.hot {
-			hotEntries++
-			shortBlocks += r.vecPopCount(i)
+		e := &r.entries[i]
+		if !e.valid || e.tier == 0 {
+			continue
+		}
+		hotEntries++
+		for w := 0; w < r.vecWords; w++ {
+			word := r.vecs[i*r.vecWords+w]
+			for t := 1; t < r.top; t++ {
+				word |= r.tierVec(i, t)[w]
+			}
+			shortBlocks += bits.OnesCount64(word)
 		}
 	}
 	return hotEntries, shortBlocks

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math/bits"
 	"testing"
 	"unsafe"
 
@@ -113,6 +114,28 @@ func TestConfigValidation(t *testing.T) {
 		func(c *RRMConfig) { c.ShortMode = pcm.Mode7SETs },
 		func(c *RRMConfig) { c.FastRefreshInterval = 3 * timing.Second }, // > 3-SETs retention
 		func(c *RRMConfig) { c.DecayBits = 0 },
+		// Mid tiers are outside input (rrmserve accepts full configs).
+		func(c *RRMConfig) { c.MidTiers = []RRMTier{tier(3, 8, 1)} },  // not slower than ShortMode
+		func(c *RRMConfig) { c.MidTiers = []RRMTier{tier(7, 8, 1)} },  // not faster than LongMode
+		func(c *RRMConfig) { c.MidTiers = []RRMTier{tier(0, 8, 1)} },  // no such mode
+		func(c *RRMConfig) { c.MidTiers = []RRMTier{tier(99, 8, 1)} }, // no such mode
+		func(c *RRMConfig) { c.MidTiers = []RRMTier{tier(5, 4, 1), tier(6, 8, 1)} },
+		func(c *RRMConfig) { c.MidTiers = []RRMTier{tier(5, 4, 1), tier(5, 8, 1)} },
+		func(c *RRMConfig) { c.MidTiers = []RRMTier{tier(6, 0, 1)} },
+		func(c *RRMConfig) { c.MidTiers = []RRMTier{tier(6, -3, 1)} },
+		func(c *RRMConfig) { c.MidTiers = []RRMTier{tier(6, 16, 1)} }, // = HotThreshold
+		func(c *RRMConfig) { c.MidTiers = []RRMTier{tier(6, 8, 1), tier(5, 8, 1)} },
+		func(c *RRMConfig) { c.MidTiers = []RRMTier{tier(6, 8, 1), tier(5, 4, 1)} },
+		func(c *RRMConfig) { c.MidTiers = []RRMTier{{Mode: pcm.Mode5SETs, Threshold: 8}} },
+		func(c *RRMConfig) {
+			c.MidTiers = []RRMTier{{Mode: pcm.Mode5SETs, Threshold: 8, RefreshInterval: -timing.Second}}
+		},
+		func(c *RRMConfig) {
+			c.MidTiers = []RRMTier{{Mode: pcm.Mode5SETs, Threshold: 8, RefreshInterval: pcm.Retention(pcm.Mode5SETs)}}
+		},
+		func(c *RRMConfig) {
+			c.MidTiers = []RRMTier{tier(6, 4, 1), tier(5, 8, 1), tier(4, 12, 1), tier(4, 14, 1)}
+		},
 	}
 	for i, mutate := range bad {
 		cfg := DefaultRRMConfig()
@@ -121,9 +144,42 @@ func TestConfigValidation(t *testing.T) {
 			t.Errorf("case %d: invalid config accepted", i)
 		}
 	}
+	for _, tiers := range [][]RRMTier{
+		a4Tiers(),
+		{tier(6, 4, 1), tier(5, 8, 1), tier(4, 12, 1)},
+		{tier(4, 15, 1)},
+	} {
+		cfg := DefaultRRMConfig()
+		cfg.MidTiers = tiers
+		if err := cfg.Validate(); err != nil {
+			t.Errorf("tiers %+v rejected: %v", tiers, err)
+		}
+	}
 	if _, err := NewRRM(DefaultRRMConfig(), nil); err == nil {
 		t.Error("nil issuer accepted")
 	}
+}
+
+// tier is a mid tier with the given SETs count, threshold and refresh
+// interval in seconds.
+func tier(sets, threshold int, seconds timing.Time) RRMTier {
+	return RRMTier{Mode: pcm.WriteMode(sets), Threshold: threshold, RefreshInterval: seconds * timing.Second}
+}
+
+// a4Tiers is ablation A4's mid tier: 5-SETs at 8 dirty writes,
+// refreshed every 103 s (under its 104.4 s retention).
+func a4Tiers() []RRMTier { return []RRMTier{tier(5, 8, 103)} }
+
+// newTiered builds A4's three-tier monitor (7-SETs, 5-SETs at 8, 3-SETs
+// at 16).
+func newTiered(t *testing.T, mutate func(*RRMConfig)) (*RRM, *recordingIssuer) {
+	t.Helper()
+	return newRRM(t, func(c *RRMConfig) {
+		c.MidTiers = a4Tiers()
+		if mutate != nil {
+			mutate(c)
+		}
+	})
 }
 
 func TestColdRegionUsesLongWrites(t *testing.T) {
@@ -435,6 +491,9 @@ func TestShortWriteFraction(t *testing.T) {
 func TestRRMInterfaceCompliance(t *testing.T) {
 	var _ WritePolicy = &Static{}
 	var _ WritePolicy = &RRM{}
+	if r, _ := newTiered(t, nil); r.Name() != "RRM-7/5/3" {
+		t.Errorf("tiered name %q, want RRM-7/5/3", r.Name())
+	}
 	r, _ := newRRM(t, nil)
 	if r.Name() != "RRM" {
 		t.Error("name")
@@ -461,26 +520,406 @@ func TestVectorWordsBoundary(t *testing.T) {
 			t.Errorf("bit %d lost", b)
 		}
 	}
-	if r.vecPopCount(i) != 6 {
-		t.Errorf("popcount = %d, want 6", r.vecPopCount(i))
+	pop := func(i int) int {
+		n := 0
+		for _, w := range r.vec(i) {
+			n += bits.OnesCount64(w)
+		}
+		return n
 	}
-	if r.vecPopCount(i-1) != 0 || r.vecPopCount(i+1) != 0 {
+	if pop(i) != 6 {
+		t.Errorf("popcount = %d, want 6", pop(i))
+	}
+	if pop(i-1) != 0 || pop(i+1) != 0 {
 		t.Error("bits leaked into a neighbouring entry's vector")
-	}
-	r.vecClear(i)
-	if r.vecPopCount(i) != 0 {
-		t.Error("clear failed")
 	}
 }
 
 // TestEntryHostFootprint: at the default 64 blocks per region an entry
-// plus its vector fits one 64 B cache line (the paper accounts 128 bits).
+// plus its vector fits one 64 B cache line (the paper accounts 128 bits),
+// and the paper's two-tier monitor allocates no mid-tier side arrays.
 func TestEntryHostFootprint(t *testing.T) {
 	r, _ := newRRM(t, nil)
+	if got := unsafe.Sizeof(entry{}); got != 56 {
+		t.Errorf("entry is %d host bytes, want 56", got)
+	}
 	if got := int(unsafe.Sizeof(entry{})) + 8*r.vecWords; got > 64 {
 		t.Errorf("entry takes %d host bytes with its vector, want <= 64", got)
 	}
+	if r.mid != nil {
+		t.Error("two-tier monitor allocated mid-tier side arrays")
+	}
+	tr, _ := newTiered(t, nil)
+	if n := len(tr.entries); len(tr.mid.vecs) != n*tr.vecWords || len(tr.mid.timers) != n {
+		t.Errorf("tiered side arrays %d/%d for %d entries", len(tr.mid.vecs), len(tr.mid.timers), n)
+	}
+	if got := tr.cfg.EntryBits(); got != 193 {
+		t.Errorf("A4 entry bits = %d, want 193 (1+52+2+6+2x64+4)", got)
+	}
 	if r.vecWords*64 < r.cfg.BlocksPerRegion() {
 		t.Errorf("%d vector words cannot hold %d blocks", r.vecWords, r.cfg.BlocksPerRegion())
+	}
+}
+
+// TestTieredPromotion: a region reaching a mid tier's threshold writes
+// its blocks with that tier's mode; reaching HotThreshold it writes new
+// blocks with ShortMode, while blocks marked at the mid tier keep the
+// mid mode until rewritten.
+func TestTieredPromotion(t *testing.T) {
+	r, _ := newTiered(t, nil)
+	base := uint64(0x40000)
+	if mode := r.DecideWriteMode(base, 0); mode != pcm.Mode7SETs {
+		t.Errorf("cold mode = %v", mode)
+	}
+	for i := 0; i < 8; i++ {
+		r.RegisterLLCWrite(base, true, 0)
+	}
+	if got := r.Stats().Promotions; got != 1 {
+		t.Fatalf("promotions after 8 dirty writes = %d, want 1", got)
+	}
+	r.RegisterLLCWrite(base+64, true, 0)
+	if mode := r.DecideWriteMode(base+64, 0); mode != pcm.Mode5SETs {
+		t.Errorf("mid block mode = %v, want 5-SETs", mode)
+	}
+	for i := 0; i < 7; i++ {
+		r.RegisterLLCWrite(base, true, 0)
+	}
+	if got := r.Stats().Promotions; got != 2 {
+		t.Fatalf("promotions after 16 dirty writes = %d, want 2", got)
+	}
+	r.RegisterLLCWrite(base+128, true, 0)
+	if mode := r.DecideWriteMode(base+128, 0); mode != pcm.Mode3SETs {
+		t.Errorf("hot block mode = %v, want 3-SETs", mode)
+	}
+	if mode := r.DecideWriteMode(base+64, 0); mode != pcm.Mode5SETs {
+		t.Errorf("mid block after hot promotion = %v, want 5-SETs", mode)
+	}
+	if s := r.Stats(); s.ShortDecisions != 3 || s.LongDecisions != 1 {
+		t.Errorf("decision split = %+v, want 3 short (1 fast + 2 mid) and 1 long", s)
+	}
+	if hot, blocks := r.HotEntries(); hot != 1 || blocks != 3 {
+		t.Errorf("hot entries %d with %d blocks, want 1 with 3 (blocks 0, 1, 2)", hot, blocks)
+	}
+}
+
+func TestTieredStreamingFilter(t *testing.T) {
+	r, _ := newTiered(t, nil)
+	for i := 0; i < 100; i++ {
+		r.RegisterLLCWrite(uint64(i%64)*64, false, 0)
+	}
+	if s := r.Stats(); s.CleanFiltered != 100 || s.Promotions != 0 {
+		t.Errorf("streaming filter broken: %+v", s)
+	}
+}
+
+// timedIssuer records each refresh with the queue time it was issued at.
+type timedIssuer struct {
+	eq   *timing.EventQueue
+	refs []timedRef
+}
+
+type timedRef struct {
+	issued
+	at timing.Time
+}
+
+func (ti *timedIssuer) IssueRefresh(addr uint64, mode pcm.WriteMode, kind pcm.WearKind) {
+	ti.refs = append(ti.refs, timedRef{issued{addr, mode, kind}, ti.eq.Now()})
+}
+
+// times returns when addr was refreshed with mode and kind.
+func (ti *timedIssuer) times(addr uint64, mode pcm.WriteMode, kind pcm.WearKind) []timing.Time {
+	var out []timing.Time
+	for _, ref := range ti.refs {
+		if ref.addr == addr && ref.mode == mode && ref.kind == kind {
+			out = append(out, ref.at)
+		}
+	}
+	return out
+}
+
+// startedTiered builds a started A4-shaped monitor with short intervals
+// (fast 100 µs, mid 400 µs) and decay out of the way.
+func startedTiered(t *testing.T, mutate func(*RRMConfig)) (*RRM, *timedIssuer, *timing.EventQueue) {
+	t.Helper()
+	cfg := DefaultRRMConfig()
+	cfg.FastRefreshInterval = 100 * timing.Microsecond
+	cfg.MidTiers = []RRMTier{{Mode: pcm.Mode5SETs, Threshold: 8, RefreshInterval: 400 * timing.Microsecond}}
+	cfg.DecayInterval = timing.Second
+	if mutate != nil {
+		mutate(&cfg)
+	}
+	eq := timing.NewEventQueue()
+	ti := &timedIssuer{eq: eq}
+	r, err := NewRRM(cfg, ti)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.Start(eq)
+	return r, ti, eq
+}
+
+// checkEveryInterval fails unless times covers [from, to] with gaps of
+// at most iv: a refresh within iv of from, then at most iv apart, and
+// the last within iv of to.
+func checkEveryInterval(t *testing.T, what string, times []timing.Time, from, to, iv timing.Time) {
+	t.Helper()
+	prev := from
+	for _, at := range append(times, to) {
+		if at-prev > iv {
+			t.Errorf("%s: %v without a refresh (%v .. %v), interval %v; refreshes at %v",
+				what, at-prev, prev, at, iv, times)
+			return
+		}
+		prev = at
+	}
+}
+
+// TestTieredRefreshModes: promoted before Start, each tier's blocks are
+// refreshed with its own mode at its own rate.
+func TestTieredRefreshModes(t *testing.T) {
+	cfg := DefaultRRMConfig()
+	cfg.FastRefreshInterval = 100 * timing.Microsecond
+	cfg.MidTiers = []RRMTier{{Mode: pcm.Mode5SETs, Threshold: 8, RefreshInterval: 400 * timing.Microsecond}}
+	cfg.DecayInterval = timing.Second
+	iss := &recordingIssuer{}
+	r, err := NewRRM(cfg, iss)
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := uint64(0x100000)
+	for i := 0; i < 8; i++ {
+		r.RegisterLLCWrite(base, true, 0)
+	}
+	r.RegisterLLCWrite(base+64, true, 0) // mid block
+	for i := 0; i < 8; i++ {
+		r.RegisterLLCWrite(base, true, 0)
+	}
+	r.RegisterLLCWrite(base+128, true, 0) // fast block
+	eq := timing.NewEventQueue()
+	r.Start(eq)
+	eq.RunUntil(450 * timing.Microsecond)
+	var fast, mid int
+	for _, ref := range iss.refreshes {
+		switch {
+		case ref.kind != pcm.WearRRMRefresh:
+			t.Errorf("unexpected %v refresh", ref.kind)
+		case (ref.addr == base || ref.addr == base+128) && ref.mode == pcm.Mode3SETs:
+			fast++
+		case (ref.addr == base || ref.addr == base+64) && ref.mode == pcm.Mode5SETs:
+			mid++
+		default:
+			t.Errorf("refresh %+v in the wrong mode for its block", ref)
+		}
+	}
+	// Block 0, written at both promotions, sits in both vectors. The
+	// fast tier fires 4x in 450 µs (interval 100 µs) for its two blocks;
+	// the mid tier once for each of its two.
+	if fast != 8 || mid != 2 {
+		t.Errorf("fast %d / mid %d refreshes, want 8 / 2", fast, mid)
+	}
+	if got := r.Stats().FastRefreshes; got != 10 {
+		t.Errorf("FastRefreshes = %d, want 10 (every faster-than-long tier)", got)
+	}
+}
+
+// TestTieredTimerSurvivesPromotion: a started monitor promotes a region
+// live to the mid tier, marks a mid block, then promotes it to the fast
+// tier. The mid block must keep its mid refreshes — at least one per mid
+// interval — for as long as it is written with the mid mode.
+func TestTieredTimerSurvivesPromotion(t *testing.T) {
+	r, ti, eq := startedTiered(t, nil)
+	const iv = 400 * timing.Microsecond
+	base := uint64(0x100000)
+	eq.RunUntil(10 * timing.Microsecond)
+	for i := 0; i < 8; i++ {
+		r.RegisterLLCWrite(base, true, eq.Now())
+	}
+	r.RegisterLLCWrite(base+64, true, eq.Now())
+	set := eq.Now()
+	eq.RunUntil(50 * timing.Microsecond)
+	for i := 0; i < 8; i++ {
+		r.RegisterLLCWrite(base, true, eq.Now())
+	}
+	r.RegisterLLCWrite(base+128, true, eq.Now())
+	end := set + 5*iv
+	eq.RunUntil(end)
+
+	mid := ti.times(base+64, pcm.Mode5SETs, pcm.WearRRMRefresh)
+	if len(mid) < 5 {
+		t.Errorf("mid block refreshed %d times in 5 mid intervals, want >= 5", len(mid))
+	}
+	checkEveryInterval(t, "mid block", mid, set, end, iv)
+	checkEveryInterval(t, "fast block", ti.times(base+128, pcm.Mode3SETs, pcm.WearRRMRefresh),
+		50*timing.Microsecond, end, 100*timing.Microsecond)
+	if mode := r.DecideWriteMode(base+64, eq.Now()); mode != pcm.Mode5SETs {
+		t.Errorf("mid block mode = %v, want 5-SETs", mode)
+	}
+}
+
+// TestTieredTimersAcrossDemotionAndEviction: a demotion or an eviction
+// while mid timers are pending flushes the mid blocks with slow
+// refreshes and kills the timers; re-promoting the slot — even to the
+// same region — leaves exactly one live mid timer.
+func TestTieredTimersAcrossDemotionAndEviction(t *testing.T) {
+	const iv = 400 * timing.Microsecond
+	warm := func(r *RRM, eq *timing.EventQueue, base uint64) {
+		for i := 0; i < 8; i++ {
+			r.RegisterLLCWrite(base, true, eq.Now())
+		}
+		r.RegisterLLCWrite(base+64, true, eq.Now())
+	}
+	t.Run("demotion", func(t *testing.T) {
+		r, ti, eq := startedTiered(t, nil)
+		base := uint64(0x100000)
+		warm(r, eq, base)
+		eq.RunUntil(100 * timing.Microsecond)
+		for i := 0; i < 2*r.decayWrap; i++ { // halve to 4 at the first wrap, demote at the second
+			r.DecayTick(eq.Now())
+		}
+		if got := r.Stats().Demotions; got != 1 {
+			t.Fatalf("demotions = %d, want 1", got)
+		}
+		if n := len(ti.times(base+64, pcm.Mode7SETs, pcm.WearSlowRefresh)); n != 1 {
+			t.Errorf("demotion slow-refreshed the mid block %d times, want 1", n)
+		}
+		eq.RunUntil(200 * timing.Microsecond)
+		warm(r, eq, base) // counter 4 -> 8: back to the mid tier
+		redo := eq.Now()
+		eq.RunUntil(redo + 3*iv)
+		var after []timing.Time
+		for _, at := range ti.times(base+64, pcm.Mode5SETs, pcm.WearRRMRefresh) {
+			if at > redo {
+				after = append(after, at)
+			}
+		}
+		if len(after) != 3 {
+			t.Errorf("re-promoted mid block refreshed at %v, want exactly one per interval (3)", after)
+		}
+		checkEveryInterval(t, "re-promoted mid block", after, redo, redo+3*iv, iv)
+	})
+	t.Run("eviction", func(t *testing.T) {
+		r, ti, eq := startedTiered(t, func(c *RRMConfig) { c.Sets, c.Ways = 1, 1 })
+		a, b := uint64(0), uint64(4096)
+		warm(r, eq, a)
+		eq.RunUntil(100 * timing.Microsecond)
+		r.RegisterLLCWrite(b, true, eq.Now()) // evicts a
+		if got := r.Stats().EvictionFlush; got != 2 {
+			t.Errorf("eviction flushed %d blocks, want 2 (blocks 0 and 1)", got)
+		}
+		eq.RunUntil(200 * timing.Microsecond)
+		r.RegisterLLCWrite(a, true, eq.Now()) // evicts b; a returns to its old slot
+		warm(r, eq, a)                        // counter 1 -> 9: mid again at the 8th
+		redo := eq.Now()
+		eq.RunUntil(redo + 3*iv)
+		var before, after []timing.Time
+		for _, at := range ti.times(a+64, pcm.Mode5SETs, pcm.WearRRMRefresh) {
+			if at > redo {
+				after = append(after, at)
+			} else {
+				before = append(before, at)
+			}
+		}
+		if len(before) != 0 {
+			t.Errorf("evicted mid block refreshed at %v while untracked", before)
+		}
+		if len(after) != 3 {
+			t.Errorf("re-allocated mid block refreshed at %v, want exactly one per interval (3)", after)
+		}
+	})
+}
+
+// TestTieredDecay: on a decay wrap an entry keeps its tier only while it
+// meets its own tier's threshold; otherwise it drops all the way to
+// LongMode, slow-refreshing every tracked block of every tier.
+func TestTieredDecay(t *testing.T) {
+	r, iss := newTiered(t, nil)
+	base := uint64(0x200000)
+	for i := 0; i < 8; i++ {
+		r.RegisterLLCWrite(base, true, 0)
+	}
+	r.RegisterLLCWrite(base+64, true, 0) // mid block; counter 9
+	for i := 0; i < 7; i++ {
+		r.RegisterLLCWrite(base, true, 0)
+	}
+	r.RegisterLLCWrite(base+128, true, 0) // fast block; counter 16
+	wrap := func() {
+		for i := 0; i < r.decayWrap; i++ {
+			r.DecayTick(0)
+		}
+	}
+	wrap() // 16 meets the top threshold: halve to 8, stay hot
+	if hot, _ := r.HotEntries(); hot != 1 || r.Stats().Demotions != 0 {
+		t.Fatal("first wrap should keep the saturated entry at the top tier")
+	}
+	wrap() // 8 misses the top threshold: demoted past the mid tier it meets
+	if got := r.Stats().Demotions; got != 1 {
+		t.Fatalf("demotions = %d, want 1", got)
+	}
+	if i := r.lookup(r.region(base)); r.entries[i].tier != 0 {
+		t.Errorf("demoted to tier %d, want 0", r.entries[i].tier)
+	}
+	var slow []uint64
+	for _, ref := range iss.refreshes {
+		if ref.kind == pcm.WearSlowRefresh && ref.mode == pcm.Mode7SETs {
+			slow = append(slow, ref.addr)
+		}
+	}
+	if len(slow) != 3 {
+		t.Errorf("slow refreshes for %#x, want blocks 0, 1 and 2 once each", slow)
+	}
+	for _, a := range []uint64{base, base + 64, base + 128} {
+		if mode := r.DecideWriteMode(a, 0); mode != pcm.Mode7SETs {
+			t.Errorf("demoted block %#x still %v", a, mode)
+		}
+	}
+
+	// A mid-tier entry is held to the mid threshold.
+	r2, _ := newTiered(t, nil)
+	for i := 0; i < 8; i++ {
+		r2.RegisterLLCWrite(base, true, 0)
+	}
+	for i := 0; i < r2.decayWrap; i++ {
+		r2.DecayTick(0)
+	}
+	if r2.Stats().Demotions != 0 {
+		t.Error("mid entry at its threshold demoted on the first wrap")
+	}
+	for i := 0; i < r2.decayWrap; i++ {
+		r2.DecayTick(0)
+	}
+	if r2.Stats().Demotions != 1 {
+		t.Error("mid entry below its threshold kept its tier")
+	}
+}
+
+// TestTieredEvictionFlush: evicting a tiered entry slow-refreshes the
+// union of its tiers' blocks, once per block.
+func TestTieredEvictionFlush(t *testing.T) {
+	r, iss := newTiered(t, func(c *RRMConfig) { c.Sets = 1; c.Ways = 2 })
+	for reg := uint64(0); reg < 3; reg++ {
+		base := reg * 4096
+		for i := 0; i < 8; i++ {
+			r.RegisterLLCWrite(base, true, 0)
+		}
+		r.RegisterLLCWrite(base+64, true, 0) // mid
+		for i := 0; i < 7; i++ {
+			r.RegisterLLCWrite(base, true, 0)
+		}
+		r.RegisterLLCWrite(base+64, true, 0)  // now in both vectors
+		r.RegisterLLCWrite(base+128, true, 0) // fast
+	}
+	s := r.Stats()
+	if s.Evictions != 1 || s.EvictionFlush != 3 {
+		t.Fatalf("evictions %d flushing %d blocks, want 1 flushing 3", s.Evictions, s.EvictionFlush)
+	}
+	var evicted []uint64
+	for _, ref := range iss.refreshes {
+		if ref.kind == pcm.WearSlowRefresh {
+			evicted = append(evicted, ref.addr)
+		}
+	}
+	if len(evicted) != 3 || evicted[0] != 0 || evicted[1] != 64 || evicted[2] != 128 {
+		t.Errorf("eviction slow-refreshed %#x, want region 0's blocks 0, 1, 2", evicted)
 	}
 }

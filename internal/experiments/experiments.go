@@ -8,6 +8,7 @@ import (
 	"rrmpcm/internal/pcm"
 	"rrmpcm/internal/sim"
 	"rrmpcm/internal/stats"
+	"rrmpcm/internal/timing"
 	"rrmpcm/internal/trace"
 	"rrmpcm/internal/wearlevel"
 )
@@ -41,7 +42,7 @@ func All() []Experiment {
 		{"ablation-globalrefresh", "A1: global-refresh performance impact (analytic)", AblationGlobalRefresh},
 		{"ablation-cleanwrites", "A2: registering clean LLC writes (streaming pollution)", AblationCleanWrites},
 		{"ablation-nopause", "A3: disabling write pausing", AblationNoPause},
-		{"ablation-multimode", "A4: multi-mode RRM (3/5/7-SETs tiers)", AblationMultiMode},
+		{"ablation-multimode", "A4: multi-mode RRM (3/5/7-SETs tiers)", AblationTiered},
 		{"ablation-decay", "A5: decay interval sensitivity", AblationDecay},
 		{"ablation-wearlevel", "A6: Start-Gap wear-leveling efficiency (Table V assumption)", AblationWearLevel},
 		{"sampling", "S1: interval sampling, error vs speed", ExperimentSampling},
@@ -527,28 +528,22 @@ func AblationWearLevel(r *Runner) (string, error) {
 	return "Start-Gap leveling efficiency (paper Table V assumes >= 0.95)\n" + stats.Table(rows), nil
 }
 
-// AblationMultiMode runs the three-tier MultiModeRRM extension (§IV-A
-// notes the paper restricted itself to two modes for simplicity) against
-// the base RRM: lukewarm regions write with the 5-SETs mid mode, whose
-// 104.4 s retention needs ~50x fewer selective refreshes than the fast
-// tier.
-func AblationMultiMode(r *Runner) (string, error) {
-	// The custom-policy mutate creates a fresh MultiModeRRM per spec, so
-	// parallel jobs never share policy state.
-	multiMode := func(c *sim.Config) {
-		policy, perr := core.NewMultiModeRRM(core.DefaultMultiModeConfig().Scale(c.TimeScale), nil)
-		if perr != nil {
-			panic(perr)
-		}
-		c.Scheme = sim.Scheme{Kind: sim.SchemeCustom, Custom: policy}
-	}
+// AblationTiered runs a three-tier RRM (§IV-A notes the paper
+// restricted itself to two modes for simplicity) against the base RRM:
+// a region that reaches 8 dirty writes writes with the 5-SETs mid mode,
+// whose 104.4 s retention needs ~50x fewer selective refreshes than the
+// fast tier, refreshed every 103 s.
+func AblationTiered(r *Runner) (string, error) {
+	tiered := rrmConfigWith(func(c *core.RRMConfig) {
+		c.MidTiers = []core.RRMTier{{Mode: pcm.Mode5SETs, Threshold: 8, RefreshInterval: 103 * timing.Second}}
+	})
 	ws := r.opt.workloads()
 	var specs []RunSpec
 	for _, w := range ws {
 		specs = append(specs,
 			RunSpec{Label: "main", Scheme: sim.StaticScheme(pcm.Mode7SETs), Workload: w},
 			RunSpec{Label: "main", Scheme: sim.RRMScheme(), Workload: w},
-			RunSpec{Label: "a4-multimode", Scheme: sim.Scheme{Kind: sim.SchemeCustom}, Workload: w, Mutate: multiMode})
+			RunSpec{Label: "a4-multimode", Scheme: tiered, Workload: w})
 	}
 	ms, err := r.RunBatch(specs)
 	if err != nil {

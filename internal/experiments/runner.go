@@ -81,8 +81,11 @@ func (o Options) SimConfig(scheme sim.Scheme, w trace.Workload) sim.Config {
 		// 30 ms measured at TimeScale 100: the 20 ms scaled refresh
 		// interval fits the window (hot entries refresh once or twice),
 		// and the retention deadline slack stays 10x the worst queue
-		// delay. RRM refresh traffic is simulated at 100x its real
-		// density, so RRM performance is conservatively understated.
+		// delay. Fast RRM refreshes are sampled 1-in-100, so they run
+		// at their real density; slow (demotion and eviction) refreshes
+		// are unsampled and run 100x denser. metrics.go de-scales their
+		// wear and energy but not their bandwidth, so RRM performance
+		// is conservatively understated.
 		cfg.Duration = 30 * timing.Millisecond
 		cfg.Warmup = 10 * timing.Millisecond
 		cfg.TimeScale = 100

@@ -18,7 +18,10 @@ import (
 	"testing"
 	"time"
 
+	"rrmpcm/internal/core"
+	"rrmpcm/internal/pcm"
 	"rrmpcm/internal/sim"
+	"rrmpcm/internal/timing"
 	"rrmpcm/internal/trace"
 )
 
@@ -267,6 +270,51 @@ func TestSubmitRejectsOversizedProfile(t *testing.T) {
 		resp.Body.Close()
 		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(e["error"], c.field) {
 			t.Errorf("%s = 1<<33: status %d error %q, want 400 naming the field", c.field, resp.StatusCode, e["error"])
+		}
+	}
+	if n := srv.QueueDepth(); n != 0 || ran.Load() != 0 {
+		t.Errorf("rejected submits left %d queued, %d run", n, ran.Load())
+	}
+}
+
+// TestSubmitRejectsHostileTiers: the RRM's mid-tier list arrives as
+// outside input in a full config. Tiers out of order, a refresh interval
+// at or past its mode's retention, or ten thousand tiers are each a 400
+// naming the field, and nothing is queued or built.
+func TestSubmitRejectsHostileTiers(t *testing.T) {
+	var ran atomic.Int64
+	srv, ts := newTestServer(t, Options{Sim: countingSim(&ran, instantSim)})
+	w, err := trace.WorkloadByName("GemsFDTD")
+	if err != nil {
+		t.Fatal(err)
+	}
+	mid := func(mode pcm.WriteMode, threshold int, iv timing.Time) core.RRMTier {
+		return core.RRMTier{Mode: mode, Threshold: threshold, RefreshInterval: iv}
+	}
+	many := make([]core.RRMTier, 10000)
+	for i := range many {
+		many[i] = mid(pcm.Mode5SETs, 8, 103*timing.Second)
+	}
+	for name, tiers := range map[string][]core.RRMTier{
+		"out of order":          {mid(pcm.Mode5SETs, 4, timing.Second), mid(pcm.Mode6SETs, 8, timing.Second)},
+		"interval at retention": {mid(pcm.Mode5SETs, 8, pcm.Retention(pcm.Mode5SETs))},
+		"ten thousand tiers":    many,
+	} {
+		cfg := sim.DefaultConfig(sim.RRMScheme(), w)
+		cfg.Scheme.RRM.MidTiers = tiers
+		body, err := json.Marshal(map[string]any{"config": cfg})
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.Post(ts.URL+"/api/v1/jobs", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var e map[string]string
+		_ = json.NewDecoder(resp.Body).Decode(&e)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(e["error"], "mid tier") {
+			t.Errorf("%s: status %d error %q, want 400 naming the mid tier", name, resp.StatusCode, e["error"])
 		}
 	}
 	if n := srv.QueueDepth(); n != 0 || ran.Load() != 0 {

@@ -26,6 +26,7 @@ package sim
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"rrmpcm/internal/cache"
 	"rrmpcm/internal/core"
@@ -60,9 +61,7 @@ type Scheme struct {
 	// simulator applies TimeScale to the periodic intervals.
 	RRM core.RRMConfig
 
-	// Custom is the policy for SchemeCustom. If it implements
-	// interface{ Start(*timing.EventQueue) } it is started with the
-	// simulation's event queue.
+	// Custom is the policy for SchemeCustom.
 	Custom core.WritePolicy
 }
 
@@ -82,7 +81,7 @@ func (s Scheme) Name() string {
 	case SchemeStatic:
 		return fmt.Sprintf("Static-%d-SETs", s.StaticMode.Sets())
 	case SchemeRRM:
-		return "RRM"
+		return s.RRM.Name()
 	default:
 		if s.Custom != nil {
 			return s.Custom.Name()
@@ -241,13 +240,20 @@ func (c Config) Validate() error {
 }
 
 // scaledRRM returns the RRM config with the retention clock accelerated
-// and the simulated refresh stream sampled 1-in-TimeScale, which keeps
-// its bandwidth and counts at the real density (see
-// core.RRMConfig.RefreshSampling).
+// — every tier's refresh interval and the decay tick divided by
+// TimeScale — and the simulated tier refreshes sampled 1-in-TimeScale,
+// which keeps their bandwidth and counts at the real density (see
+// core.RRMConfig.RefreshSampling). The tier list is copied, never
+// scaled in the caller's backing array.
 func (c Config) scaledRRM() core.RRMConfig {
 	r := c.Scheme.RRM
-	r.FastRefreshInterval = timing.Time(float64(r.FastRefreshInterval) / c.TimeScale)
-	r.DecayInterval = timing.Time(float64(r.DecayInterval) / c.TimeScale)
+	scale := func(t timing.Time) timing.Time { return timing.Time(float64(t) / c.TimeScale) }
+	r.FastRefreshInterval = scale(r.FastRefreshInterval)
+	r.DecayInterval = scale(r.DecayInterval)
+	r.MidTiers = slices.Clone(r.MidTiers)
+	for k := range r.MidTiers {
+		r.MidTiers[k].RefreshInterval = scale(r.MidTiers[k].RefreshInterval)
+	}
 	r.RefreshSampling = uint64(c.TimeScale)
 	return r
 }

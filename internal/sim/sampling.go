@@ -224,9 +224,9 @@ func (s *System) SkipForward(ctx context.Context, span timing.Time) error {
 	// must pause too, or the skip would demote every hot region the
 	// windows depend on. Retention and patrol timers keep running — they
 	// track real deadlines, which is the point of skipping on true time.
-	if ds, ok := s.policy.(interface{ SuspendDecay(bool) }); ok {
-		ds.SuspendDecay(true)
-		defer ds.SuspendDecay(false)
+	if s.rrm != nil {
+		s.rrm.SuspendDecay(true)
+		defer s.rrm.SuspendDecay(false)
 	}
 	s.functional = true
 	defer func() { s.functional = false }()

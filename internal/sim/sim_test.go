@@ -145,6 +145,9 @@ func TestSchemeNames(t *testing.T) {
 	if got := RRMScheme().Name(); got != "RRM" {
 		t.Errorf("rrm name = %q", got)
 	}
+	if got := tieredScheme(a4Tiers()).Name(); got != "RRM-7/5/3" {
+		t.Errorf("tiered rrm name = %q", got)
+	}
 	if got := (Scheme{Kind: SchemeCustom}).Name(); got != "custom" {
 		t.Errorf("custom fallback name = %q", got)
 	}
@@ -163,6 +166,47 @@ func TestScaledRRM(t *testing.T) {
 	}
 	if got := cfg.scaledRetention(pcm.Mode3SETs); got != timing.Nanoseconds(2.01e9/100) {
 		t.Errorf("scaled retention = %v", got)
+	}
+
+	// Every tier's interval scales, in a copy of the caller's list.
+	cfg.Scheme = tieredScheme(a4Tiers())
+	r = cfg.scaledRRM()
+	if got := r.MidTiers[0].RefreshInterval; got != 1030*timing.Millisecond {
+		t.Errorf("scaled mid refresh = %v, want 1.03s", got)
+	}
+	if got := cfg.Scheme.RRM.MidTiers[0].RefreshInterval; got != 103*timing.Second {
+		t.Errorf("scaling rewrote the caller's tier list: %v", got)
+	}
+	if r.RefreshSampling != 100 {
+		t.Errorf("refresh sampling = %d, want 100", r.RefreshSampling)
+	}
+}
+
+// a4Tiers is ablation A4's mid tier: 5-SETs at 8 dirty writes,
+// refreshed every 103 s.
+func a4Tiers() []core.RRMTier {
+	return []core.RRMTier{{Mode: pcm.Mode5SETs, Threshold: 8, RefreshInterval: 103 * timing.Second}}
+}
+
+// tieredScheme is the default RRM with the given mid tiers.
+func tieredScheme(tiers []core.RRMTier) Scheme {
+	s := RRMScheme()
+	s.RRM.MidTiers = tiers
+	return s
+}
+
+// TestSampledSchemeValidation: a tiered RRM is an RRM, so it can be
+// sampled (its state snapshots); a custom policy still cannot.
+func TestSampledSchemeValidation(t *testing.T) {
+	spec := &SamplingSpec{Windows: 4, Window: 250 * timing.Microsecond, DetailWarmup: 100 * timing.Microsecond}
+	cfg := quickConfig(t, tieredScheme(a4Tiers()), "hmmer")
+	cfg.Sampling = spec
+	if err := cfg.Validate(); err != nil {
+		t.Errorf("sampled tiered RRM rejected: %v", err)
+	}
+	cfg.Scheme = Scheme{Kind: SchemeCustom, Custom: core.NewStatic(pcm.Mode5SETs)}
+	if err := cfg.Validate(); err == nil || !strings.Contains(err.Error(), "sampled") {
+		t.Errorf("sampled custom scheme: Validate = %v, want a rejection", err)
 	}
 }
 

@@ -128,11 +128,6 @@ func New(cfg Config) (*System, error) {
 		s.policy = s.rrm
 	case SchemeCustom:
 		s.policy = cfg.Scheme.Custom
-		// Custom policies that issue selective refreshes (e.g. the
-		// multi-mode RRM) get the backend's refresh path.
-		if setter, ok := s.policy.(interface{ SetIssuer(core.RefreshIssuer) }); ok {
-			setter.SetIssuer(s.backend)
-		}
 	}
 
 	if s.checker != nil {
@@ -216,11 +211,11 @@ func New(cfg Config) (*System, error) {
 // RRM exposes the monitor for inspection (nil for static schemes).
 func (s *System) RRM() *core.RRM { return s.rrm }
 
-// refreshSampling returns the policy's simulated-refresh sampling factor
-// (1 when the policy simulates every refresh).
+// refreshSampling returns the monitor's simulated-refresh sampling
+// factor (1 without a monitor: nothing else issues selective refreshes).
 func (s *System) refreshSampling() uint64 {
-	if p, ok := s.policy.(interface{ RefreshSampling() uint64 }); ok {
-		return p.RefreshSampling()
+	if s.rrm != nil {
+		return s.rrm.RefreshSampling()
 	}
 	return 1
 }
@@ -261,9 +256,6 @@ func (s *System) Warmup(ctx context.Context) error {
 	}
 	if s.rrm != nil {
 		s.rrm.Start(s.eq)
-	}
-	if cust, ok := s.policy.(interface{ Start(*timing.EventQueue) }); ok && s.cfg.Scheme.Kind == SchemeCustom {
-		cust.Start(s.eq)
 	}
 	if s.rel != nil && s.cfg.Reliability.Patrol {
 		s.initPatrol()

@@ -9,6 +9,8 @@ import (
 	"strings"
 	"testing"
 
+	"rrmpcm/internal/core"
+	"rrmpcm/internal/pcm"
 	"rrmpcm/internal/snapshot"
 	"rrmpcm/internal/timing"
 	"rrmpcm/internal/trace"
@@ -74,9 +76,24 @@ func runForked(t *testing.T, cfg Config, blob []byte) []byte {
 // every golden configuration, snapshotting at the warmup boundary and
 // measuring from the restored fork must produce metrics bit-identical to
 // the straight-through run. This covers the event-queue re-arm ordering,
-// every component codec, and the callback-identity reconstruction.
+// every component codec, and the callback-identity reconstruction. The
+// tiered cases add the mid tiers' vectors and timers: A4's own (whose
+// 103 ms scaled mid interval never fires in the window) and three mid
+// tiers on intervals short enough to fire on both sides of the snapshot.
 func TestWarmStartForkBitIdentical(t *testing.T) {
-	for _, tc := range goldenCases() {
+	cases := append(goldenCases(), []struct {
+		name     string
+		scheme   Scheme
+		workload string
+	}{
+		{"rrm-a4-GemsFDTD", tieredScheme(a4Tiers()), "GemsFDTD"},
+		{"rrm-5tier-GemsFDTD", tieredScheme([]core.RRMTier{
+			{Mode: pcm.Mode6SETs, Threshold: 4, RefreshInterval: 400 * timing.Millisecond},
+			{Mode: pcm.Mode5SETs, Threshold: 8, RefreshInterval: 300 * timing.Millisecond},
+			{Mode: pcm.Mode4SETs, Threshold: 12, RefreshInterval: 200 * timing.Millisecond},
+		}), "GemsFDTD"},
+	}...)
+	for _, tc := range cases {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
 			w, err := trace.WorkloadByName(tc.workload)
@@ -88,6 +105,21 @@ func TestWarmStartForkBitIdentical(t *testing.T) {
 			forked := runForked(t, cfg, snapshotWarm(t, cfg))
 			if !bytes.Equal(straight, forked) {
 				t.Errorf("forked run diverged from straight-through:\n%s", goldenDiff(straight, forked))
+			}
+			if len(tc.scheme.RRM.MidTiers) == 0 {
+				return
+			}
+			var m Metrics
+			if err := json.Unmarshal(straight, &m); err != nil {
+				t.Fatal(err)
+			}
+			for _, mt := range tc.scheme.RRM.MidTiers {
+				if m.WritesByMode[mt.Mode] == 0 {
+					t.Errorf("no %v writes: the case does not exercise its mid tiers", mt.Mode)
+				}
+			}
+			if m.RetentionViolations != 0 {
+				t.Errorf("%d retention violations (%s)", m.RetentionViolations, m.FirstViolation)
 			}
 		})
 	}

@@ -7,7 +7,10 @@
 // is exactly five CPU cycles, so both domains are exact in picoseconds.
 package timing
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // Time is an absolute simulation time or a duration, in picoseconds.
 // int64 picoseconds cover about 106 days of simulated time, far beyond the
@@ -48,6 +51,8 @@ func (t Time) MemCycles() int64 { return int64(t / MemCycle) }
 // String formats the time with an adaptive unit.
 func (t Time) String() string {
 	switch {
+	case t == math.MinInt64: // no positive counterpart to recurse on
+		return fmt.Sprintf("%dps", int64(t))
 	case t < 0:
 		return fmt.Sprintf("-%s", -t)
 	case t < Nanosecond:

@@ -1,6 +1,7 @@
 package timing
 
 import (
+	"math"
 	"math/rand"
 	"sort"
 	"testing"
@@ -89,6 +90,8 @@ func TestString(t *testing.T) {
 		{1500, "1.500ns"},
 		{550 * Nanosecond, "550.000ns"},
 		{2 * Second, "2.000000s"},
+		{-1500, "-1.500ns"},
+		{math.MinInt64, "-9223372036854775808ps"}, // -t overflows back to itself
 	}
 	for _, c := range cases {
 		if got := c.in.String(); got != c.want {

@@ -112,6 +112,10 @@ func DefaultControllerConfig() ControllerConfig { return memctrl.DefaultConfig()
 // RRMConfig sizes the Region Retention Monitor (Table IV / §IV).
 type RRMConfig = core.RRMConfig
 
+// RRMTier is one intermediate write tier of a graded monitor
+// (RRMConfig.MidTiers; ablation A4).
+type RRMTier = core.RRMTier
+
 // DefaultRRMConfig returns the paper's RRM: 256 sets x 24 ways, 4 KB
 // regions, hot_threshold 16, 96 KB of storage.
 func DefaultRRMConfig() RRMConfig { return core.DefaultRRMConfig() }
