@@ -108,6 +108,22 @@ func (c RRMConfig) WithCoverage(coverage int, llcBytes uint64) RRMConfig {
 	return c
 }
 
+// Scale returns the config with the retention clock accelerated k times:
+// every tier's refresh interval and the decay tick divided by k, and the
+// simulated tier refreshes sampled 1-in-k (see RefreshSampling). The
+// tier list is copied, never scaled in the caller's backing array.
+func (c RRMConfig) Scale(k float64) RRMConfig {
+	scale := func(t timing.Time) timing.Time { return timing.Time(float64(t) / k) }
+	c.FastRefreshInterval = scale(c.FastRefreshInterval)
+	c.DecayInterval = scale(c.DecayInterval)
+	c.MidTiers = slices.Clone(c.MidTiers)
+	for i := range c.MidTiers {
+		c.MidTiers[i].RefreshInterval = scale(c.MidTiers[i].RefreshInterval)
+	}
+	c.RefreshSampling = uint64(k)
+	return c
+}
+
 // Validate checks the configuration.
 func (c RRMConfig) Validate() error {
 	if c.Sets <= 0 || c.Sets&(c.Sets-1) != 0 {

@@ -923,3 +923,73 @@ func TestTieredEvictionFlush(t *testing.T) {
 		t.Errorf("eviction slow-refreshed %#x, want region 0's blocks 0, 1, 2", evicted)
 	}
 }
+
+// TestMultiModeConfigValidation: the three-tier multi-mode monitor
+// (ablation A4) is an RRM config with one mid tier; it validates, and
+// breaking its geometry, thresholds, modes or refresh intervals is
+// rejected.
+func TestMultiModeConfigValidation(t *testing.T) {
+	cfg := DefaultRRMConfig()
+	cfg.MidTiers = a4Tiers()
+	if err := cfg.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	bad := []func(*RRMConfig){
+		func(c *RRMConfig) { c.Sets = 100 },
+		func(c *RRMConfig) { c.Ways = 0 },
+		func(c *RRMConfig) { c.RegionBytes = 3000 },
+		func(c *RRMConfig) { c.MidTiers[0].Threshold = 0 },
+		func(c *RRMConfig) { c.HotThreshold = c.MidTiers[0].Threshold },
+		func(c *RRMConfig) { c.MidTiers[0].Mode = pcm.Mode3SETs },
+		func(c *RRMConfig) { c.FastRefreshInterval = 0 },
+		func(c *RRMConfig) { c.MidTiers[0].RefreshInterval = 0 },
+	}
+	for i, mutate := range bad {
+		cfg := DefaultRRMConfig()
+		cfg.MidTiers = a4Tiers()
+		mutate(&cfg)
+		if err := cfg.Validate(); err == nil {
+			t.Errorf("case %d accepted", i)
+		}
+	}
+}
+
+// TestMultiModeScale: Scale divides every tier's refresh interval and
+// the decay tick, samples refreshes 1-in-k and leaves the caller's tier
+// list alone.
+func TestMultiModeScale(t *testing.T) {
+	base := DefaultRRMConfig()
+	base.MidTiers = a4Tiers()
+	cfg := base.Scale(100)
+	if cfg.FastRefreshInterval != 20*timing.Millisecond {
+		t.Errorf("scaled fast interval = %v", cfg.FastRefreshInterval)
+	}
+	if cfg.MidTiers[0].RefreshInterval != 1030*timing.Millisecond {
+		t.Errorf("scaled mid interval = %v", cfg.MidTiers[0].RefreshInterval)
+	}
+	if cfg.DecayInterval != 1250*timing.Microsecond {
+		t.Errorf("scaled decay = %v", cfg.DecayInterval)
+	}
+	if cfg.RefreshSampling != 100 {
+		t.Errorf("refresh sampling = %d, want 100", cfg.RefreshSampling)
+	}
+	if base.MidTiers[0].RefreshInterval != 103*timing.Second {
+		t.Errorf("Scale rewrote the caller's tier list: %v", base.MidTiers[0].RefreshInterval)
+	}
+}
+
+// TestMultiModeInterface: the three-tier monitor is a WritePolicy with
+// the RRM's decision latency and 7-SETs global refresh.
+func TestMultiModeInterface(t *testing.T) {
+	var _ WritePolicy = &RRM{}
+	m, _ := newTiered(t, nil)
+	if m.Name() != "RRM-7/5/3" {
+		t.Errorf("name %q", m.Name())
+	}
+	if m.GlobalRefreshMode() != pcm.Mode7SETs {
+		t.Error("global mode")
+	}
+	if m.DecisionLatency() != 4*timing.CPUCycle {
+		t.Error("latency")
+	}
+}

@@ -26,7 +26,6 @@ package sim
 import (
 	"fmt"
 	"math"
-	"slices"
 
 	"rrmpcm/internal/cache"
 	"rrmpcm/internal/core"
@@ -240,23 +239,10 @@ func (c Config) Validate() error {
 }
 
 // scaledRRM returns the RRM config with the retention clock accelerated
-// — every tier's refresh interval and the decay tick divided by
-// TimeScale — and the simulated tier refreshes sampled 1-in-TimeScale,
-// which keeps their bandwidth and counts at the real density (see
-// core.RRMConfig.RefreshSampling). The tier list is copied, never
-// scaled in the caller's backing array.
-func (c Config) scaledRRM() core.RRMConfig {
-	r := c.Scheme.RRM
-	scale := func(t timing.Time) timing.Time { return timing.Time(float64(t) / c.TimeScale) }
-	r.FastRefreshInterval = scale(r.FastRefreshInterval)
-	r.DecayInterval = scale(r.DecayInterval)
-	r.MidTiers = slices.Clone(r.MidTiers)
-	for k := range r.MidTiers {
-		r.MidTiers[k].RefreshInterval = scale(r.MidTiers[k].RefreshInterval)
-	}
-	r.RefreshSampling = uint64(c.TimeScale)
-	return r
-}
+// TimeScale times (core.RRMConfig.Scale): the simulated tier refreshes
+// are sampled 1-in-TimeScale, which keeps their bandwidth and counts at
+// the real density (see core.RRMConfig.RefreshSampling).
+func (c Config) scaledRRM() core.RRMConfig { return c.Scheme.RRM.Scale(c.TimeScale) }
 
 // scaledRetention returns mode's retention under the accelerated clock.
 func (c Config) scaledRetention(mode pcm.WriteMode) timing.Time {
