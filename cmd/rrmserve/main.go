@@ -5,16 +5,15 @@
 // Usage:
 //
 //	rrmserve [-addr :8321] [-queue 64] [-workers N] [-cache-dir dir]
-//	         [-trace-dir dir] [-warm-start] [-pprof] [-job-timeout d]
+//	         [-warm-start] [-pprof] [-job-timeout d]
 //	         [-request-timeout 30s] [-drain-timeout 30s] [-version]
 //
 // Endpoints:
 //
-//	POST /api/v1/jobs              submit {"scheme":"rrm","workload":"GemsFDTD","quick":true},
-//	                               a full {"config":{...}} document, or a multi-tenant
-//	                               {"scheme":"rrm","tenants":[{"name":"A","trace":"a.rrmt"},...]}
-//	                               run (trace paths resolve under -trace-dir; "profile"
-//	                               entries name synthetic profiles and need no -trace-dir)
+//	POST /api/v1/jobs              submit {"scheme":"rrm","workload":"GemsFDTD","quick":true}
+//	                               or a full {"config":{...}} document (a workload that
+//	                               replays trace files is refused with 400: trace
+//	                               replay is local-only, via rrmsim -replay)
 //	GET  /api/v1/jobs              list known jobs
 //	GET  /api/v1/jobs/{id}         job status
 //	GET  /api/v1/jobs/{id}/result  metrics (also served from the run cache)
@@ -57,7 +56,6 @@ func main() {
 	queue := flag.Int("queue", 64, "job queue capacity (submissions beyond it get 429)")
 	workers := flag.Int("workers", 0, "concurrent simulations (0 = GOMAXPROCS)")
 	cacheDir := flag.String("cache-dir", "", "disk-backed run cache directory (empty = no cache)")
-	traceDir := flag.String("trace-dir", "", "trace-file root for tenant replay submissions (empty = trace tenants disabled)")
 	warmStart := flag.Bool("warm-start", false, "share simulation warmup across jobs with equal warm prefixes")
 	pprofOn := flag.Bool("pprof", false, "expose Go profiling endpoints under /debug/pprof/")
 	jobTimeout := flag.Duration("job-timeout", 0, "per-simulation wall-clock budget (0 = none)")
@@ -75,7 +73,6 @@ func main() {
 		QueueSize:      *queue,
 		Workers:        *workers,
 		CacheDir:       *cacheDir,
-		TraceDir:       *traceDir,
 		JobTimeout:     *jobTimeout,
 		RequestTimeout: *reqTimeout,
 		WarmStart:      *warmStart,

@@ -9,7 +9,7 @@
 //	       [-parallel N] [-cache-dir dir] [-warm-start] [-json]
 //	       [-sample] [-sample-windows 8] [-sample-window 100us]
 //	       [-sample-detail 100us] [-sample-stride 1]
-//	       [-replay f0.rrmt,f1.rrmt,...] [-tenants A,B,...]
+//	       [-replay f0.rrmt,f1.rrmt,...]
 //	       [-reliability] [-ecc-t 4] [-prog-ber 1e-5] [-ecc-latency 25ns]
 //	       [-patrol] [-patrol-interval 100ms] [-patrol-batch 64]
 //	       [-hybrid] [-hybrid-mb 64] [-hybrid-policy wcount|recency]
@@ -46,9 +46,6 @@
 // -replay swaps the named workload's synthetic streams for recorded
 // trace files (tracegen -export), one per core; the run's metrics are
 // byte-identical to the generator run the traces were exported from.
-// -tenants names one tenant per stream and adds per-tenant attribution
-// (instructions, writes by mode, retention violations, reliability
-// counters) to the report and the JSON output.
 //
 // -warm-start shares simulation warmup across the batch's runs where
 // their configs differ only in post-warmup knobs; results are
@@ -119,7 +116,6 @@ func main() {
 	sampleDetail := flag.Duration("sample-detail", 100*time.Microsecond, "detailed pre-roll discarded before each window (with -sample)")
 	sampleStride := flag.Int("sample-stride", 1, "fast-forward thinning between windows: only the trailing 1/N of each gap runs functional traffic (with -sample; >1 trades fidelity for speed on steady-state runs)")
 	replay := flag.String("replay", "", "comma-separated trace files (tracegen -export), one per core; -workload names the run")
-	tenants := flag.String("tenants", "", "comma-separated tenant names, one per stream (enables per-tenant attribution)")
 	jsonOut := flag.Bool("json", false, "print metrics as JSON instead of the text report")
 	listW := flag.Bool("list-workloads", false, "list workloads and exit")
 	version := flag.Bool("version", false, "print build information and exit")
@@ -176,15 +172,6 @@ func main() {
 			w.Replay = append(w.Replay, rrmpcm.TraceRef{Path: p, Sum: f.Sum()})
 		}
 		workloads[0] = w
-	}
-	if *tenants != "" {
-		names := strings.Split(*tenants, ",")
-		for i := range names {
-			names[i] = strings.TrimSpace(names[i])
-		}
-		for i := range workloads {
-			workloads[i].Tenants = names
-		}
 	}
 
 	jobs := make([]engine.Job, len(workloads))
@@ -388,19 +375,6 @@ func report(m rrmpcm.Metrics, wall time.Duration) bool {
 		fmt.Printf("  DRAM row-hit rate    %8.1f%% (%d refresh stalls, avg read %s)\n",
 			100*h.DRAMRowHitRate, h.DRAMRefreshStalls, h.DRAMAvgReadLatency)
 		fmt.Printf("  DRAM energy          %8.3f J (%.3f W)\n\n", h.DRAMEnergyJ, h.DRAMPowerW)
-	}
-	if len(m.Tenants) > 0 {
-		fmt.Printf("Tenants\n")
-		for _, t := range m.Tenants {
-			fmt.Printf("  %-12s cores %d  IPC %6.3f  insts %10d  writes %8d (short %.1f%%)  violations %d\n",
-				t.Name, t.Cores, t.IPC, t.Instructions, t.DemandWrites,
-				100*t.ShortWriteFraction, t.RetentionViolations)
-			if t.ReadsChecked > 0 {
-				fmt.Printf("  %-12s reads checked %d  corrected %d  uncorrectable %d\n",
-					"", t.ReadsChecked, t.CorrectedReads, t.UncorrectableReads)
-			}
-		}
-		fmt.Printf("\n")
 	}
 	if m.Scheme == "RRM" {
 		fmt.Printf("RRM internals\n")

@@ -2,8 +2,7 @@
 // per-benchmark stream statistics (instruction mix, component shares,
 // footprint), dumps a raw trace for external tools, exports workloads to
 // the compact streaming trace-file format (one file per core, replayable
-// by rrmsim -replay and by tenant submissions to rrmserve), and imports
-// trace files for inspection.
+// by rrmsim -replay), and imports trace files for inspection.
 //
 // Usage:
 //

@@ -532,7 +532,10 @@ func (r *RRM) allocate(region uint64) int {
 	}
 	r.stats.Allocations++
 	r.useClock++
-	set[victim] = entry{valid: true, tag: region, lastUse: r.useClock}
+	// The top tier's timer generation carries over: the eviction ended
+	// the old region's timer by bumping it, and a reset would revive it.
+	set[victim] = entry{valid: true, tag: region, lastUse: r.useClock,
+		timer: tierTimer{gen: set[victim].timer.gen}}
 	return base + victim
 }
 

@@ -827,6 +827,38 @@ func TestTieredTimersAcrossDemotionAndEviction(t *testing.T) {
 			t.Errorf("re-allocated mid block refreshed at %v, want exactly one per interval (3)", after)
 		}
 	})
+	t.Run("eviction-two-tier", func(t *testing.T) {
+		// The top tier's timer lives in the entry: re-allocating the way
+		// must not revive the timer the eviction ended.
+		const fast = 100 * timing.Microsecond
+		r, ti, eq := startedTiered(t, func(c *RRMConfig) { c.Sets, c.Ways, c.MidTiers = 1, 1, nil })
+		a, b := uint64(0), uint64(4096)
+		heat := func() {
+			for i := 0; i < r.cfg.HotThreshold; i++ {
+				r.RegisterLLCWrite(a, true, eq.Now())
+			}
+		}
+		heat()
+		eq.RunUntil(20 * timing.Microsecond)
+		r.RegisterLLCWrite(b, true, eq.Now()) // evicts a
+		if got := r.Stats().EvictionFlush; got != 1 {
+			t.Errorf("eviction flushed %d blocks, want 1", got)
+		}
+		eq.RunUntil(40 * timing.Microsecond)
+		heat() // a returns to its old way and is promoted again
+		redo := eq.Now()
+		eq.RunUntil(redo + 5*fast)
+		var after []timing.Time
+		for _, at := range ti.times(a, r.cfg.ShortMode, pcm.WearRRMRefresh) {
+			if at > redo {
+				after = append(after, at)
+			}
+		}
+		if len(after) != 5 {
+			t.Errorf("re-promoted hot block refreshed at %v, want exactly one per interval (5)", after)
+		}
+		checkEveryInterval(t, "re-promoted hot block", after, redo, redo+5*fast, fast)
+	})
 }
 
 // TestTieredDecay: on a decay wrap an entry keeps its tier only while it

@@ -10,7 +10,7 @@ import (
 // TestConfigHashReplayDistinct: replay configs are content-addressed —
 // the cache key must separate a generator run from a replay run that
 // carries the same workload name, and any change to the trace set
-// (path or content checksum) or the tenant map must change the key.
+// (path or content checksum) must change the key.
 func TestConfigHashReplayDistinct(t *testing.T) {
 	gen := testConfig(1)
 
@@ -54,14 +54,6 @@ func TestConfigHashReplayDistinct(t *testing.T) {
 	path := replayCfg()
 	path.Workload.Replay[0].Path = "t/other.rrmt"
 	add("replay-other-path", path)
-
-	ten := testConfig(1)
-	ten.Workload.Tenants = []string{"a", "b", "a", "b"}
-	add("tenants", ten)
-
-	ten2 := testConfig(1)
-	ten2.Workload.Tenants = []string{"a", "b", "b", "a"}
-	add("tenants-swapped", ten2)
 
 	dyn := testConfig(1)
 	dyn.Workload.Dynamics = &trace.Dynamics{Phases: []trace.Phase{{Profile: "lbm", Ops: 100}}}

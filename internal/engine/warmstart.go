@@ -29,8 +29,8 @@ import (
 // History: v4 sim snapshot format 4 (shard-mailbox section); v5 sim
 // snapshot format 5 (no per-region wear list); v6 sim snapshot format 6
 // (no shard-mailbox section); v7 sim snapshot format 7 (one word per
-// cache line).
-const warmHashVersion = "rrmpcm-warm-v7"
+// cache line); v8 sim snapshot format 8 (no tenant-tracker flag).
+const warmHashVersion = "rrmpcm-warm-v8"
 
 // warmImage is the warmup-relevant prefix of a config: hashImage minus
 // the knobs that only matter after the warmup boundary (Duration,

@@ -39,20 +39,7 @@ type Engine struct {
 	patrolQ    []uint64
 	patrolHead int
 
-	// readObs, when set, receives every demand-read classification (the
-	// multi-tenant attribution hook). It observes only — the RNG streams
-	// and counters are untouched, so registering it cannot perturb a
-	// run's error pattern.
-	readObs func(addr uint64, corrected, uncorrectable bool)
-
 	m Metrics
-}
-
-// SetReadObserver registers a callback invoked for every demand read
-// the engine inspects (tracked lines only, mirroring ReadsChecked).
-// nil disables.
-func (e *Engine) SetReadObserver(fn func(addr uint64, corrected, uncorrectable bool)) {
-	e.readObs = fn
 }
 
 // New builds an engine for one run. table supplies the drift law,
@@ -156,25 +143,19 @@ func (e *Engine) OnDemandRead(addr uint64, now timing.Time) timing.Time {
 	e.lines[blk] = ls
 	e.m.ReadsChecked++
 	var stall timing.Time
-	var corrected, uncorrectable bool
 	switch f := int(ls.flips); {
 	case f == 0:
 		e.m.CleanReads++
 	case f <= e.cfg.ECCBits:
-		corrected = true
 		e.m.CorrectedReads++
 		e.m.BitFlipsCorrected += uint64(f)
 		stall = e.cfg.ECCLatency
 	default:
 		// Detection costs the same decode; the data loss is the point.
-		uncorrectable = true
 		e.m.UncorrectableReads++
 		stall = e.cfg.ECCLatency
 	}
 	e.m.CorrectionStall += stall
-	if e.readObs != nil {
-		e.readObs(blk, corrected, uncorrectable)
-	}
 	return stall
 }
 

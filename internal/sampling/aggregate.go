@@ -157,7 +157,6 @@ func aggregate(cfg sim.Config, ms []sim.Metrics) sim.Metrics {
 	}
 	out.RetentionDetail = sumRetentionDetail(ms)
 	out.Reliability = sumReliability(ms)
-	out.Tenants = aggregateTenants(ms, scale)
 	if h := aggregateHybrid(ms, scale); h != nil {
 		h.DRAMEnergyJ = h.DRAMPowerW * out.EquivSeconds
 		out.EnergyTotalJ += h.DRAMEnergyJ
@@ -307,54 +306,6 @@ func aggregateHybrid(ms []sim.Metrics, scale float64) *sim.HybridMetrics {
 			return float64(h.DRAMAvgReadLatency)
 		})),
 		DRAMPowerW: mean(func(h *sim.HybridMetrics) float64 { return h.DRAMPowerW }),
-	}
-	return out
-}
-
-// aggregateTenants merges per-tenant attribution across windows: count
-// estimates are coverage-scaled like the top-level counts, IPC is the
-// window mean, fractions are write-volume weighted.
-func aggregateTenants(ms []sim.Metrics, scale float64) []sim.TenantMetrics {
-	if len(ms[0].Tenants) == 0 {
-		return nil
-	}
-	out := make([]sim.TenantMetrics, len(ms[0].Tenants))
-	for t := range out {
-		agg := &out[t]
-		agg.Name = ms[0].Tenants[t].Name
-		agg.Cores = ms[0].Tenants[t].Cores
-		var insts, writes, reads, corr, uncorr uint64
-		var ipc, shortWeighted float64
-		modeSum := make(map[pcm.WriteMode]uint64)
-		for i := range ms {
-			w := &ms[i].Tenants[t]
-			insts += w.Instructions
-			ipc += w.IPC
-			writes += w.DemandWrites
-			shortWeighted += w.ShortWriteFraction * float64(w.DemandWrites)
-			for mode, c := range w.WritesByMode {
-				modeSum[mode] += c
-			}
-			agg.RetentionViolations += w.RetentionViolations
-			reads += w.ReadsChecked
-			corr += w.CorrectedReads
-			uncorr += w.UncorrectableReads
-		}
-		agg.Instructions = uint64(float64(insts)*scale + 0.5)
-		agg.IPC = ipc / float64(len(ms))
-		agg.DemandWrites = uint64(float64(writes)*scale + 0.5)
-		if writes > 0 {
-			agg.ShortWriteFraction = shortWeighted / float64(writes)
-		}
-		if len(modeSum) > 0 {
-			agg.WritesByMode = make(sim.ModeWrites, len(modeSum))
-			for mode, c := range modeSum {
-				agg.WritesByMode[mode] = uint64(float64(c)*scale + 0.5)
-			}
-		}
-		agg.ReadsChecked = uint64(float64(reads)*scale + 0.5)
-		agg.CorrectedReads = uint64(float64(corr)*scale + 0.5)
-		agg.UncorrectableReads = uint64(float64(uncorr)*scale + 0.5)
 	}
 	return out
 }

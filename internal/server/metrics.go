@@ -3,12 +3,10 @@ package server
 import (
 	"fmt"
 	"io"
-	"sort"
 	"sync"
 	"sync/atomic"
 
 	"rrmpcm/internal/engine"
-	"rrmpcm/internal/sim"
 )
 
 // latencyBuckets are the per-job wall-clock histogram bounds in
@@ -46,21 +44,6 @@ type serverMetrics struct {
 	histInf   uint64
 	histSum   float64
 	histN     uint64
-
-	// Per-tenant aggregates, summed over every finished multi-tenant
-	// job (Metrics.Tenants is nil elsewhere). Keyed by tenant name and
-	// rendered as labeled counters.
-	tenMu  sync.Mutex
-	tenant map[string]*tenantAgg
-}
-
-// tenantAgg is one tenant's accumulated totals across finished jobs.
-type tenantAgg struct {
-	jobs          uint64
-	instructions  uint64
-	demandWrites  uint64
-	violations    uint64
-	uncorrectable uint64
 }
 
 func newServerMetrics() *serverMetrics {
@@ -89,36 +72,10 @@ func (m *serverMetrics) ObserveJob(ev engine.JobEvent) {
 				m.relBitFlips.Add(rel.BitFlipsCorrected)
 				m.relScrubs.Add(rel.ScrubsOnWrite + rel.ScrubsOnRefresh + rel.PatrolIssued)
 			}
-			if tens := ev.Result.Metrics.Tenants; len(tens) > 0 {
-				m.observeTenants(tens)
-			}
 		}
 	case engine.JobStateFailed:
 		m.running.Add(-1)
 		m.failed.Add(1)
-	}
-}
-
-// observeTenants folds one finished job's per-tenant metrics into the
-// labeled aggregates.
-func (m *serverMetrics) observeTenants(tens []sim.TenantMetrics) {
-	m.tenMu.Lock()
-	defer m.tenMu.Unlock()
-	if m.tenant == nil {
-		m.tenant = make(map[string]*tenantAgg)
-	}
-	for i := range tens {
-		t := &tens[i]
-		agg := m.tenant[t.Name]
-		if agg == nil {
-			agg = &tenantAgg{}
-			m.tenant[t.Name] = agg
-		}
-		agg.jobs++
-		agg.instructions += t.Instructions
-		agg.demandWrites += t.DemandWrites
-		agg.violations += t.RetentionViolations
-		agg.uncorrectable += t.UncorrectableReads
 	}
 }
 
@@ -163,7 +120,6 @@ func (m *serverMetrics) render(w io.Writer, queueDepth, queueCap int, uptimeSeco
 	gauge("rrmserve_queue_depth", "Jobs waiting in the bounded queue.", float64(queueDepth))
 	gauge("rrmserve_queue_capacity", "Capacity of the bounded queue.", float64(queueCap))
 	gauge("rrmserve_uptime_seconds", "Seconds since the server started.", uptimeSeconds)
-	m.renderTenants(w)
 
 	m.histMu.Lock()
 	defer m.histMu.Unlock()
@@ -177,38 +133,6 @@ func (m *serverMetrics) render(w io.Writer, queueDepth, queueCap int, uptimeSeco
 	fmt.Fprintf(w, "%s_bucket{le=\"+Inf\"} %d\n", hist, cum+m.histInf)
 	fmt.Fprintf(w, "%s_sum %g\n", hist, m.histSum)
 	fmt.Fprintf(w, "%s_count %d\n", hist, m.histN)
-}
-
-// renderTenants writes the per-tenant labeled counters in sorted
-// tenant order (deterministic exposition). Nothing is written until
-// the first multi-tenant job finishes.
-func (m *serverMetrics) renderTenants(w io.Writer) {
-	m.tenMu.Lock()
-	defer m.tenMu.Unlock()
-	if len(m.tenant) == 0 {
-		return
-	}
-	names := make([]string, 0, len(m.tenant))
-	for name := range m.tenant {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	labeled := func(name, help string, v func(*tenantAgg) uint64) {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n", name, help, name)
-		for _, ten := range names {
-			fmt.Fprintf(w, "%s{tenant=%q} %d\n", name, ten, v(m.tenant[ten]))
-		}
-	}
-	labeled("rrmserve_tenant_jobs_total", "Finished multi-tenant jobs this tenant participated in.",
-		func(a *tenantAgg) uint64 { return a.jobs })
-	labeled("rrmserve_tenant_instructions_total", "Instructions attributed to this tenant across finished jobs.",
-		func(a *tenantAgg) uint64 { return a.instructions })
-	labeled("rrmserve_tenant_demand_writes_total", "Demand block writes attributed to this tenant across finished jobs.",
-		func(a *tenantAgg) uint64 { return a.demandWrites })
-	labeled("rrmserve_tenant_retention_violations_total", "Retention-deadline violations attributed to this tenant across finished jobs.",
-		func(a *tenantAgg) uint64 { return a.violations })
-	labeled("rrmserve_tenant_uncorrectable_total", "Uncorrectable demand reads attributed to this tenant across finished jobs.",
-		func(a *tenantAgg) uint64 { return a.uncorrectable })
 }
 
 // trimFloat formats a bucket bound the Prometheus way ("0.25", "5").

@@ -75,11 +75,6 @@ type Options struct {
 	Cache engine.ResultCache
 	// Sim overrides the simulation function (tests only).
 	Sim engine.SimFunc
-	// TraceDir, if non-empty, enables tenant trace replay: tenant
-	// submissions may reference recorded trace files by paths relative
-	// to (and confined under) this directory. Empty disables trace
-	// tenants; profile tenants work regardless.
-	TraceDir string
 }
 
 // Server is the simulation service. Create with New, serve via
@@ -249,11 +244,6 @@ type SubmitRequest struct {
 	// Label is cosmetic: it prefixes the job's display name.
 	Label  string      `json:"label,omitempty"`
 	Config *sim.Config `json:"config,omitempty"`
-	// Tenants, with Scheme, submits a multi-tenant run: one stream per
-	// entry (trace replay or synthetic profile), with per-tenant
-	// attribution in the result's metrics. Mutually exclusive with
-	// Workload and Config.
-	Tenants []TenantStream `json:"tenants,omitempty"`
 	// Sampling, when set, runs the submission as a SMARTS-style sampled
 	// simulation (see sim.SamplingSpec); the result's metrics carry
 	// confidence intervals. A sampled submission hashes to a different
@@ -295,16 +285,9 @@ type JobResult struct {
 
 // BuildJob resolves a submission into the engine job it denotes —
 // validated config, config-hash key, display name — without running
-// anything. Trace tenants are rejected; profile tenants still work.
+// anything.
 func BuildJob(req SubmitRequest) (engine.Job, error) {
-	return BuildJobIn("", req)
-}
-
-// BuildJobIn is BuildJob with a trace directory: tenant submissions
-// that reference trace files resolve them relative to traceDir (empty
-// rejects trace tenants).
-func BuildJobIn(traceDir string, req SubmitRequest) (engine.Job, error) {
-	cfg, err := buildConfig(traceDir, req)
+	cfg, err := buildConfig(req)
 	if err != nil {
 		return engine.Job{}, err
 	}
@@ -320,42 +303,25 @@ func BuildJobIn(traceDir string, req SubmitRequest) (engine.Job, error) {
 	return experiments.NewJob(cfg, req.Label)
 }
 
-// buildConfig resolves a submission into a validated run config.
-func buildConfig(traceDir string, req SubmitRequest) (sim.Config, error) {
+// buildConfig resolves a submission into a validated run config. Trace
+// replay is a local feature (rrmsim -replay): a workload naming trace
+// files would have a worker open paths on the server, so it is refused.
+func buildConfig(req SubmitRequest) (sim.Config, error) {
 	if req.Config != nil {
-		if req.Scheme != "" || req.Workload != "" || len(req.Tenants) > 0 {
-			return sim.Config{}, fmt.Errorf("config and scheme/workload/tenants shorthand are mutually exclusive")
+		if req.Scheme != "" || req.Workload != "" {
+			return sim.Config{}, fmt.Errorf("config and scheme/workload shorthand are mutually exclusive")
 		}
 		cfg := *req.Config
-		if err := cfg.Validate(); err != nil {
-			return sim.Config{}, err
+		if len(cfg.Workload.Replay) > 0 {
+			return sim.Config{}, fmt.Errorf("workload Replay is not served: trace replay runs locally (rrmsim -replay)")
 		}
-		return cfg, nil
-	}
-	if len(req.Tenants) > 0 {
-		if req.Workload != "" {
-			return sim.Config{}, fmt.Errorf("tenants and workload are mutually exclusive")
-		}
-		if req.Scheme == "" {
-			return sim.Config{}, fmt.Errorf("tenant submissions need a scheme")
-		}
-		scheme, err := experiments.ParseScheme(req.Scheme)
-		if err != nil {
-			return sim.Config{}, err
-		}
-		w, err := tenantWorkload(traceDir, req.Tenants)
-		if err != nil {
-			return sim.Config{}, err
-		}
-		opt := experiments.Options{Quick: req.Quick, Seed: req.Seed}
-		cfg := opt.SimConfig(scheme, w)
 		if err := cfg.Validate(); err != nil {
 			return sim.Config{}, err
 		}
 		return cfg, nil
 	}
 	if req.Scheme == "" || req.Workload == "" {
-		return sim.Config{}, fmt.Errorf("need either config, scheme+workload, or scheme+tenants")
+		return sim.Config{}, fmt.Errorf("need either config or scheme+workload")
 	}
 	scheme, err := experiments.ParseScheme(req.Scheme)
 	if err != nil {
@@ -388,7 +354,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, fmt.Sprintf("decoding request: %v", err))
 		return
 	}
-	ejob, err := BuildJobIn(s.opt.TraceDir, req)
+	ejob, err := BuildJob(req)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err.Error())
 		return

@@ -171,6 +171,7 @@ func TestSubmitValidation(t *testing.T) {
 		`{"scheme":"rrm","workload":"no-such-workload"}`,
 		`{"scheme":"rrm"}`,
 		`{"scheme":"rrm","workload":"mcf","config":{}}`,
+		`{"scheme":"rrm","tenants":[{"name":"a","profile":"hmmer"}]}`,
 		`{"bogus":true}`,
 		`not json`,
 	} {
@@ -319,6 +320,43 @@ func TestSubmitRejectsHostileTiers(t *testing.T) {
 	}
 	if n := srv.QueueDepth(); n != 0 || ran.Load() != 0 {
 		t.Errorf("rejected submits left %d queued, %d run", n, ran.Load())
+	}
+}
+
+// TestSubmitRejectsReplayConfig: a full config whose workload replays
+// trace files would have a worker open paths on the server, so it is a
+// 400 naming Replay, and nothing is queued or run.
+func TestSubmitRejectsReplayConfig(t *testing.T) {
+	var ran atomic.Int64
+	srv, ts := newTestServer(t, Options{Sim: countingSim(&ran, instantSim)})
+	path := filepath.Join(t.TempDir(), "c.rrmt")
+	if err := os.WriteFile(path, []byte("not a trace"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	w, err := trace.WorkloadByName("GemsFDTD")
+	if err != nil {
+		t.Fatal(err)
+	}
+	w.Cores = nil
+	for i := 0; i < 4; i++ {
+		w.Replay = append(w.Replay, trace.TraceRef{Path: path, Sum: 1})
+	}
+	body, err := json.Marshal(map[string]any{"config": sim.DefaultConfig(sim.RRMScheme(), w)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Post(ts.URL+"/api/v1/jobs", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var e map[string]string
+	_ = json.NewDecoder(resp.Body).Decode(&e)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(e["error"], "Replay") {
+		t.Errorf("replay config: status %d error %q, want 400 naming Replay", resp.StatusCode, e["error"])
+	}
+	if n := srv.QueueDepth(); n != 0 || ran.Load() != 0 {
+		t.Errorf("rejected submit left %d queued, %d run", n, ran.Load())
 	}
 }
 

@@ -307,9 +307,6 @@ func (b *backend) IssueRefresh(addr uint64, mode pcm.WriteMode, kind pcm.WearKin
 func (b *backend) RecordWrite(addr uint64, mode pcm.WriteMode, kind pcm.WearKind) {
 	b.sys.wear.RecordBlockWrite(addr, mode, kind)
 	b.sys.energy.AddBlockWrite(mode, kind)
-	if b.sys.tenants != nil && kind == pcm.WearDemandWrite {
-		b.sys.tenants.noteDemandWrite(addr, mode)
-	}
 	if b.sys.checker != nil {
 		b.sys.checker.onWrite(addr, mode, b.sys.eq.Now())
 	}

@@ -75,11 +75,6 @@ type Metrics struct {
 	// measurement window (nil — omitted — when the model is disabled).
 	Reliability *reliability.Metrics `json:"reliability,omitempty"`
 
-	// Tenants is the per-tenant attribution of a multi-tenant run (nil
-	// — omitted — unless the workload names tenants, so single-tenant
-	// metrics documents and goldens are unchanged).
-	Tenants []TenantMetrics `json:"tenants,omitempty"`
-
 	// Sampling is the confidence-interval summary of a sampled run (nil
 	// — omitted — for full runs, so their metrics documents and goldens
 	// are unchanged).
@@ -131,33 +126,6 @@ type HybridMetrics struct {
 	// (added into EnergyTotalJ).
 	DRAMPowerW  float64 `json:"dram_power_w"`
 	DRAMEnergyJ float64 `json:"dram_energy_j"`
-}
-
-// TenantMetrics is one tenant's slice of a multi-tenant run: the
-// performance of its cores plus the memory-system activity attributed
-// to its address partitions.
-type TenantMetrics struct {
-	Name         string `json:"name"`
-	Cores        int    `json:"cores"`
-	Instructions uint64 `json:"instructions"`
-	// IPC is the summed per-core IPC of the tenant's cores (the
-	// paper's throughput convention).
-	IPC float64 `json:"ipc"`
-
-	// DemandWrites counts completed demand block writes to the
-	// tenant's partitions; WritesByMode splits them by write mode.
-	DemandWrites       uint64     `json:"demand_writes"`
-	WritesByMode       ModeWrites `json:"writes_by_mode,omitempty"`
-	ShortWriteFraction float64    `json:"short_write_fraction"`
-
-	// RetentionViolations are deadline misses on the tenant's blocks.
-	RetentionViolations uint64 `json:"retention_violations,omitempty"`
-
-	// Reliability-model read classification for the tenant's addresses
-	// (zero when the fault model is off).
-	ReadsChecked       uint64 `json:"reads_checked,omitempty"`
-	CorrectedReads     uint64 `json:"corrected_reads,omitempty"`
-	UncorrectableReads uint64 `json:"uncorrectable_reads,omitempty"`
 }
 
 // RetentionDetail is the serializable deadline-violation breakdown.
@@ -306,10 +274,6 @@ func (s *System) collect(window timing.Time) Metrics {
 		rel := s.rel.Metrics().Sub(sn.rel)
 		rel.Finalize()
 		m.Reliability = &rel
-	}
-
-	if s.tenants != nil {
-		s.collectTenants(&m)
 	}
 	return m
 }

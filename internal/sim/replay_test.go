@@ -7,7 +7,6 @@ import (
 	"path/filepath"
 	"testing"
 
-	"rrmpcm/internal/pcm"
 	"rrmpcm/internal/timing"
 	"rrmpcm/internal/trace"
 	"rrmpcm/internal/tracefile"
@@ -104,6 +103,38 @@ func TestReplayRoundTripMetrics(t *testing.T) {
 	if m1.Instructions == 0 || len(m1.WritesByMode) == 0 {
 		t.Errorf("degenerate run: %d insts, no demand writes", m1.Instructions)
 	}
+
+	// Fork leg: a warmed replay system snapshotted and restored into a
+	// fresh one (replay cursors included) measures the same run.
+	warm, err := New(rcfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := warm.Warmup(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	blob, err := warm.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	fork, err := New(rcfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := fork.Restore(blob); err != nil {
+		t.Fatal(err)
+	}
+	m3, err := fork.Measure(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	j3, err := json.Marshal(m3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(j3) != string(j2) {
+		t.Errorf("forked replay metrics differ from the straight replay run\nreplay: %s\nfork:   %s", j2, j3)
+	}
 }
 
 // TestReplayChecksumMismatch: a config whose TraceRef.Sum does not match
@@ -115,103 +146,5 @@ func TestReplayChecksumMismatch(t *testing.T) {
 	cfg.Workload = rw
 	if _, err := New(cfg); err == nil {
 		t.Error("checksum mismatch accepted")
-	}
-}
-
-// TestTenantAttribution: per-tenant counters must partition the global
-// ones — nothing lost, nothing double-counted.
-func TestTenantAttribution(t *testing.T) {
-	cfg := quickConfig(t, RRMScheme(), "hmmer")
-	cfg.Workload.Tenants = []string{"acme", "zenith", "acme", "zenith"}
-	s, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m, err := s.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(m.Tenants) != 2 {
-		t.Fatalf("have %d tenants, want 2", len(m.Tenants))
-	}
-	var insts, writes, cores uint64
-	for _, tm := range m.Tenants {
-		if tm.Name != "acme" && tm.Name != "zenith" {
-			t.Errorf("unexpected tenant %q", tm.Name)
-		}
-		if tm.Cores != 2 {
-			t.Errorf("tenant %s has %d cores, want 2", tm.Name, tm.Cores)
-		}
-		if tm.Instructions == 0 || tm.DemandWrites == 0 {
-			t.Errorf("tenant %s idle: %+v", tm.Name, tm)
-		}
-		insts += tm.Instructions
-		writes += tm.DemandWrites
-		cores += uint64(tm.Cores)
-	}
-	if insts != m.Instructions {
-		t.Errorf("tenant instructions sum %d != total %d", insts, m.Instructions)
-	}
-	// The global WritesByMode split also counts refresh writes; the
-	// wear tracker's demand-kind counter is the matching total.
-	total := s.wear.ByKind(pcm.WearDemandWrite) - s.base.wearKind[0]
-	if writes != total {
-		t.Errorf("tenant demand writes sum %d != total %d", writes, total)
-	}
-	if cores != 4 {
-		t.Errorf("tenant cores sum %d != 4", cores)
-	}
-
-	// Single-tenant runs carry no tenant section at all.
-	cfg2 := quickConfig(t, RRMScheme(), "hmmer")
-	s2, err := New(cfg2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m2, err := s2.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m2.Tenants != nil {
-		t.Errorf("untenanted run produced tenant metrics: %+v", m2.Tenants)
-	}
-}
-
-// TestTenantSnapshotRestore: a tenanted system survives the
-// snapshot/fork warm-start path with its attribution intact.
-func TestTenantSnapshotRestore(t *testing.T) {
-	cfg := quickConfig(t, RRMScheme(), "hmmer")
-	cfg.Workload.Tenants = []string{"a", "b", "a", "b"}
-	s, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Warmup(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	blob, err := s.Snapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	fork, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := fork.Restore(blob); err != nil {
-		t.Fatal(err)
-	}
-	m1, err := s.Measure(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	m2, err := fork.Measure(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	j1, _ := json.Marshal(m1)
-	j2, _ := json.Marshal(m2)
-	if string(j1) != string(j2) {
-		t.Errorf("forked tenant run diverged\nlive: %s\nfork: %s", j1, j2)
 	}
 }

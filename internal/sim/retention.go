@@ -40,10 +40,6 @@ type retentionChecker struct {
 
 	// sampling mirrors the policy's simulated-refresh sampling factor.
 	sampling uint64
-
-	// onViolation, when set, attributes each counted violation to the
-	// expired block's owner (the tenant tracker).
-	onViolation func(blk uint64)
 }
 
 func newRetentionChecker(cfg Config) *retentionChecker {
@@ -96,9 +92,6 @@ func (rc *retentionChecker) checkLive(blk uint64, now timing.Time, action string
 	}
 	rc.violations++
 	*counter++
-	if rc.onViolation != nil {
-		rc.onViolation(blk)
-	}
 	if rc.firstViolation == "" {
 		rc.firstViolation = fmt.Sprintf("block %#x %s at %v, %v past its retention deadline",
 			blk, action, now, now-d)
@@ -113,9 +106,6 @@ func (rc *retentionChecker) finish(now timing.Time) {
 		if now > d && d < rc.horizon {
 			rc.violations++
 			rc.expiredAtEnd++
-			if rc.onViolation != nil {
-				rc.onViolation(blk)
-			}
 			if rc.firstViolation == "" {
 				rc.firstViolation = fmt.Sprintf("block %#x expired unrefreshed at simulation end", blk)
 			}

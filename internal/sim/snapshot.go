@@ -31,11 +31,13 @@ import (
 // v7 encodes each cache line as one word (block<<1 | dirty, each set
 // in recency order) and drops the per-line flags byte, LRU stamps and
 // per-level use clock.
+// v8 drops the v2 tenant-tracker presence flag (always false) with
+// multi-tenant attribution.
 // engine.warmHashVersion was bumped alongside each, so older blobs are
 // never looked up, let alone misparsed.
 const (
 	sysSnapMagic   uint32 = 0x52524D53 // "RRMS"
-	sysSnapVersion uint16 = 7
+	sysSnapVersion uint16 = 8
 )
 
 // Snapshot serializes a warmed system (after Warmup, before Measure).
@@ -78,10 +80,6 @@ func (s *System) Snapshot() ([]byte, error) {
 	w.Bool(s.checker != nil)
 	if s.checker != nil {
 		s.checker.snapshot(w)
-	}
-	w.Bool(s.tenants != nil)
-	if s.tenants != nil {
-		s.tenants.snapshot(w)
 	}
 	w.Bool(s.migr != nil)
 	if s.migr != nil {
@@ -172,12 +170,6 @@ func (s *System) Restore(blob []byte) error {
 	}
 	if s.checker != nil && r.Err() == nil {
 		s.checker.restore(r)
-	}
-	if hasTen := r.Bool(); r.Err() == nil && hasTen != (s.tenants != nil) {
-		r.Fail("sim: snapshot/config tenant mismatch (present: %v)", hasTen)
-	}
-	if s.tenants != nil && r.Err() == nil {
-		s.tenants.restore(r)
 	}
 	if hasHyb := r.Bool(); r.Err() == nil && hasHyb != (s.migr != nil) {
 		r.Fail("sim: snapshot/config hybrid mismatch (present: %v)", hasHyb)

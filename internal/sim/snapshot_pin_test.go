@@ -26,14 +26,14 @@ func TestSnapshotBytesPinned(t *testing.T) {
 		{"rrm-GemsFDTD", func() Config {
 			w, _ := trace.WorkloadByName("GemsFDTD")
 			return DefaultConfig(RRMScheme(), w)
-		}, "4ea1253a634e48cd2ef01616371c0e14d4a735db695125509501d75a55df068f"},
+		}, "b36f1375f6a0f68505de22e4171ce25cb6936aaaac16eca8e091321dddcc775a"},
 		{"static-3-GemsFDTD-reliability-patrol", func() Config {
 			w, _ := trace.WorkloadByName("GemsFDTD")
 			cfg := DefaultConfig(StaticScheme(pcm.Mode3SETs), w)
 			cfg.Reliability.Enabled = true
 			cfg.Reliability.Patrol = true
 			return cfg
-		}, "66ecf9d1601c7e035435dfc87a42911a6fe594cd0aa9ca39c7cc9f028a6a032e"},
+		}, "11a03babc5cfe6685969c3eadcb42b313747afb055dfc21c1ec7b08f729a2b4e"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

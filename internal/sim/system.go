@@ -13,6 +13,7 @@ import (
 	"rrmpcm/internal/reliability"
 	"rrmpcm/internal/timing"
 	"rrmpcm/internal/trace"
+	"rrmpcm/internal/tracefile"
 )
 
 // runPhase tracks a System's single-use lifecycle: built, warmed (by
@@ -75,7 +76,6 @@ type System struct {
 	backend *backend
 	checker *retentionChecker
 	rel     *reliability.Engine // nil when the reliability model is off
-	tenants *tenantTracker      // nil unless the workload names tenants
 
 	// base is the warmup-end counter baseline collect subtracts; held on
 	// the System (with fixed-size arrays) so a run allocates nothing to
@@ -166,7 +166,6 @@ func New(cfg Config) (*System, error) {
 	}
 
 	nStreams := cfg.Workload.NumStreams()
-	span := cfg.Device.MemBytes / uint64(nStreams)
 	for i := 0; i < nStreams; i++ {
 		var gen trace.Stream
 		var err error
@@ -193,19 +192,26 @@ func New(cfg Config) (*System, error) {
 		s.cores = append(s.cores, c)
 		s.gens = append(s.gens, gen)
 	}
-	if len(cfg.Workload.Tenants) > 0 {
-		s.tenants = newTenantTracker(cfg.Workload.Tenants, span)
-		if s.checker != nil {
-			s.checker.onViolation = s.tenants.noteViolation
-		}
-		if s.rel != nil {
-			s.rel.SetReadObserver(s.tenants.noteRead)
-		}
-		s.base.tenants = s.tenants.emptyCounters()
-	}
 	s.base.coreInsts = make([]uint64, 0, len(s.cores))
 	s.base.coreTimes = make([]timing.Time, 0, len(s.cores))
 	return s, nil
+}
+
+// loadReplayStream opens one recorded trace stream and verifies its
+// content checksum against the configured reference — the config hash
+// covers ref.Sum, so a file whose bytes drifted since the config was
+// hashed is rejected here instead of silently simulating a different
+// workload under the old identity.
+func loadReplayStream(ref trace.TraceRef) (trace.Stream, error) {
+	f, err := tracefile.Load(ref.Path)
+	if err != nil {
+		return nil, err
+	}
+	if ref.Sum != 0 && f.Sum() != ref.Sum {
+		return nil, fmt.Errorf("sim: trace %s content checksum %#x does not match configured %#x",
+			ref.Path, f.Sum(), ref.Sum)
+	}
+	return f.Stream(), nil
 }
 
 // RRM exposes the monitor for inspection (nil for static schemes).
@@ -385,8 +391,7 @@ type baseline struct {
 	energyR   float64
 	rrm       core.Stats
 	rel       reliability.Metrics
-	tenants   *tenantCounters // nil unless tenants are tracked
-	dram      dram.Stats      // zero unless the hybrid tier is enabled
+	dram      dram.Stats // zero unless the hybrid tier is enabled
 	mig       dram.MigStats
 }
 
@@ -418,9 +423,6 @@ func (s *System) captureBaseline() {
 	sn.rel = reliability.Metrics{}
 	if s.rel != nil {
 		sn.rel = s.rel.Metrics()
-	}
-	if s.tenants != nil {
-		sn.tenants.copyFrom(&s.tenants.tenantCounters)
 	}
 	if s.migr != nil {
 		sn.dram = s.dramDev.Stats()

@@ -286,17 +286,10 @@ func TestWorkloadValidation(t *testing.T) {
 		{Name: "x", Replay: []TraceRef{{Path: "", Sum: 1}}},
 		{Name: "x", Replay: []TraceRef{{Path: "a", Sum: 0}}},
 		{Name: "x", Cores: gems.Cores, Dynamics: &Dynamics{}},
-		{Name: "x", Cores: gems.Cores, Tenants: []string{"A"}},
-		{Name: "x", Cores: gems.Cores, Tenants: []string{"A", "", "C", "D"}},
 	}
 	for i, w := range bad {
 		if err := w.Validate(); err == nil {
 			t.Errorf("case %d accepted", i)
 		}
-	}
-	ok := gems
-	ok.Tenants = []string{"A", "B", "A", "B"}
-	if err := ok.Validate(); err != nil {
-		t.Errorf("tenant workload rejected: %v", err)
 	}
 }

@@ -237,11 +237,6 @@ type Workload struct {
 	// stream i replays Replay[i]'s trace file (tracefile format). Cores
 	// must be empty — the core-model parameters come from the files.
 	Replay []TraceRef `json:",omitempty"`
-
-	// Tenants optionally names the owner of each stream for per-tenant
-	// attribution (len must equal NumStreams). Duplicate names merge
-	// cores into one tenant.
-	Tenants []string `json:",omitempty"`
 }
 
 // TraceRef identifies one recorded trace stream.
@@ -291,14 +286,6 @@ func (w Workload) Validate() error {
 	if w.Dynamics != nil {
 		if err := w.Dynamics.Validate(); err != nil {
 			return err
-		}
-	}
-	if n := len(w.Tenants); n > 0 && n != w.NumStreams() {
-		return fmt.Errorf("trace: workload %s names %d tenants for %d streams", w.Name, n, w.NumStreams())
-	}
-	for i, t := range w.Tenants {
-		if t == "" {
-			return fmt.Errorf("trace: workload %s tenant %d has an empty name", w.Name, i)
 		}
 	}
 	return nil

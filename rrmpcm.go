@@ -349,7 +349,3 @@ func CoreSeed(seed uint64, core int) uint64 { return trace.CoreSeed(seed, core) 
 func CorePartition(memBytes uint64, n, core int) (base, span uint64) {
 	return trace.CorePartition(memBytes, n, core)
 }
-
-// TenantMetrics is the per-tenant attribution section of Metrics
-// (Metrics.Tenants, non-empty only for multi-tenant workloads).
-type TenantMetrics = sim.TenantMetrics
