@@ -5,7 +5,7 @@
 #   test   full unit suite
 #   race   race-detector pass over the packages the parallel engine
 #          drives (engine, experiments, the HTTP service, and the
-#          sim/trace/tracefile paths its workers execute concurrently)
+#          sim/trace paths its workers execute concurrently)
 #          plus the event queue, cache hierarchy, snapshot codec,
 #          memory controller and RRM core that every simulation runs
 #   bench  paper-artifact and hot-path benchmarks (quick windows), a
@@ -21,16 +21,13 @@
 # through the full HTTP path (submit -> stream -> result -> metrics)
 # and fails unless the result comes back 200.
 #
-# replay-smoke exports a synthetic workload as trace files and fails
-# unless replaying them yields byte-identical metrics to the generator.
-#
 # sample-smoke runs one steady-state configuration in full and sampled
 # (8 windows, stride-16 fast-forward) and fails unless the sampled 95%
 # interval contains the full-run IPC and the sampled run is faster.
 
 GO ?= go
 
-.PHONY: build vet test race bench profile ci serve-smoke replay-smoke sample-smoke
+.PHONY: build vet test race bench profile ci serve-smoke sample-smoke
 
 build:
 	$(GO) build ./...
@@ -42,7 +39,7 @@ test:
 	$(GO) test ./...
 
 race:
-	$(GO) test -race ./internal/cache/... ./internal/core/... ./internal/dram/... ./internal/engine/... ./internal/experiments/... ./internal/memctrl/... ./internal/reliability/... ./internal/sampling/... ./internal/server/... ./internal/sim/... ./internal/snapshot/... ./internal/stats/... ./internal/timing/... ./internal/trace/... ./internal/tracefile/...
+	$(GO) test -race ./internal/cache/... ./internal/core/... ./internal/dram/... ./internal/engine/... ./internal/experiments/... ./internal/memctrl/... ./internal/reliability/... ./internal/sampling/... ./internal/server/... ./internal/sim/... ./internal/snapshot/... ./internal/stats/... ./internal/timing/... ./internal/trace/...
 
 bench:
 	$(GO) test -bench=. -benchmem -run='^$$' .
@@ -54,9 +51,6 @@ profile:
 
 serve-smoke:
 	./scripts/serve_smoke.sh
-
-replay-smoke:
-	GO="$(GO)" ./scripts/replay_smoke.sh
 
 sample-smoke:
 	GO="$(GO)" ./scripts/sample_smoke.sh

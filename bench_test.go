@@ -26,7 +26,6 @@ import (
 	"rrmpcm/internal/sim"
 	"rrmpcm/internal/timing"
 	"rrmpcm/internal/trace"
-	"rrmpcm/internal/tracefile"
 )
 
 var (
@@ -592,35 +591,5 @@ func BenchmarkTraceGeneratorBurst(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		gen.Next(&op)
-	}
-}
-
-// BenchmarkTraceReplay measures trace-file decode throughput — the
-// replay-side counterpart of BenchmarkTraceGenerator (the recording
-// wraps as needed, so b.N is unbounded).
-func BenchmarkTraceReplay(b *testing.B) {
-	p, err := trace.ProfileByName("GemsFDTD")
-	if err != nil {
-		b.Fatal(err)
-	}
-	gen, err := trace.NewMixture(p, 0, 2<<30, 1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	meta := tracefile.Meta{Name: p.Name, BaseCPI: gen.BaseCPI(), MaxMLP: gen.MaxMLP(), Span: 2 << 30, Seed: 1}
-	blob, err := tracefile.Record(gen, meta, 1<<18)
-	if err != nil {
-		b.Fatal(err)
-	}
-	f, err := tracefile.Parse(blob)
-	if err != nil {
-		b.Fatal(err)
-	}
-	r := f.Stream()
-	var op trace.Op
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		r.Next(&op)
 	}
 }

@@ -11,9 +11,8 @@
 // Endpoints:
 //
 //	POST /api/v1/jobs              submit {"scheme":"rrm","workload":"GemsFDTD","quick":true}
-//	                               or a full {"config":{...}} document (a workload that
-//	                               replays trace files is refused with 400: trace
-//	                               replay is local-only, via rrmsim -replay)
+//	                               or a full {"config":{...}} document (unknown
+//	                               fields are refused with 400)
 //	GET  /api/v1/jobs              list known jobs
 //	GET  /api/v1/jobs/{id}         job status
 //	GET  /api/v1/jobs/{id}/result  metrics (also served from the run cache)

@@ -9,7 +9,6 @@
 //	       [-parallel N] [-cache-dir dir] [-warm-start] [-json]
 //	       [-sample] [-sample-windows 8] [-sample-window 100us]
 //	       [-sample-detail 100us] [-sample-stride 1]
-//	       [-replay f0.rrmt,f1.rrmt,...]
 //	       [-reliability] [-ecc-t 4] [-prog-ber 1e-5] [-ecc-latency 25ns]
 //	       [-patrol] [-patrol-interval 100ms] [-patrol-batch 64]
 //	       [-hybrid] [-hybrid-mb 64] [-hybrid-policy wcount|recency]
@@ -43,10 +42,6 @@
 // finished runs persist to disk keyed by config hash and later
 // invocations reload them instead of re-simulating.
 //
-// -replay swaps the named workload's synthetic streams for recorded
-// trace files (tracegen -export), one per core; the run's metrics are
-// byte-identical to the generator run the traces were exported from.
-//
 // -warm-start shares simulation warmup across the batch's runs where
 // their configs differ only in post-warmup knobs; results are
 // bit-identical either way. With -cache-dir, warm snapshots persist
@@ -79,7 +74,6 @@ import (
 	"rrmpcm/internal/experiments"
 	"rrmpcm/internal/profiling"
 	"rrmpcm/internal/stats"
-	"rrmpcm/internal/tracefile"
 )
 
 func main() {
@@ -115,7 +109,6 @@ func main() {
 	sampleWindow := flag.Duration("sample-window", 100*time.Microsecond, "measured length of each detailed window (with -sample)")
 	sampleDetail := flag.Duration("sample-detail", 100*time.Microsecond, "detailed pre-roll discarded before each window (with -sample)")
 	sampleStride := flag.Int("sample-stride", 1, "fast-forward thinning between windows: only the trailing 1/N of each gap runs functional traffic (with -sample; >1 trades fidelity for speed on steady-state runs)")
-	replay := flag.String("replay", "", "comma-separated trace files (tracegen -export), one per core; -workload names the run")
 	jsonOut := flag.Bool("json", false, "print metrics as JSON instead of the text report")
 	listW := flag.Bool("list-workloads", false, "list workloads and exit")
 	version := flag.Bool("version", false, "print build information and exit")
@@ -153,27 +146,6 @@ func main() {
 			workloads = append(workloads, w)
 		}
 	}
-	if *replay != "" {
-		if len(workloads) != 1 {
-			fatal(fmt.Errorf("-replay needs exactly one -workload name for the run's identity"))
-		}
-		// The replay run keeps the named workload's identity (the
-		// reliability seed mixes the name), but its streams come from
-		// the trace files — content-addressed so the run's config hash
-		// covers the trace bytes.
-		w := workloads[0]
-		w.Cores, w.Dynamics = nil, nil
-		for _, p := range strings.Split(*replay, ",") {
-			p = strings.TrimSpace(p)
-			f, err := tracefile.Load(p)
-			if err != nil {
-				fatal(err)
-			}
-			w.Replay = append(w.Replay, rrmpcm.TraceRef{Path: p, Sum: f.Sum()})
-		}
-		workloads[0] = w
-	}
-
 	jobs := make([]engine.Job, len(workloads))
 	for i, w := range workloads {
 		cfg := rrmpcm.DefaultConfig(s, w)

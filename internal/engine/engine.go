@@ -47,10 +47,6 @@ type Job struct {
 	Name string
 	// Config is the full run configuration.
 	Config sim.Config
-	// Uncacheable excludes the job from the disk cache. Custom-policy
-	// configs set it: their behaviour is not captured by the config
-	// hash, so a disk entry could go stale across code changes.
-	Uncacheable bool
 }
 
 func (j Job) label() string {
@@ -229,8 +225,7 @@ func (e *Engine) runJob(ctx context.Context, j Job) (res Result) {
 		return res
 	}
 
-	cacheable := e.opt.Cache != nil && !j.Uncacheable
-	if cacheable {
+	if e.opt.Cache != nil {
 		// Load errors (corrupt or torn entries) degrade to misses.
 		if m, ok, err := e.opt.Cache.Load(j.Key); err == nil && ok {
 			res.Metrics, res.Cached = m, true
@@ -251,7 +246,7 @@ func (e *Engine) runJob(ctx context.Context, j Job) (res Result) {
 		return res
 	}
 	res.Metrics = m
-	if cacheable {
+	if e.opt.Cache != nil {
 		res.CacheErr = e.opt.Cache.Store(j.Key, m)
 	}
 	return res

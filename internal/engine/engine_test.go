@@ -252,6 +252,9 @@ func TestConfigHash(t *testing.T) {
 			hc.Migration.Policy = dram.PolicyRecency
 			c.Hybrid = &hc
 		},
+		"dynamics": func(c *sim.Config) {
+			c.Workload.Dynamics = &trace.Dynamics{Phases: []trace.Phase{{Profile: "lbm", Ops: 100}}}
+		},
 	}
 	seen := map[string]string{base: "base"}
 	for name, mutate := range mutants {
@@ -296,18 +299,5 @@ func TestHashImageCoversConfig(t *testing.T) {
 		if !simgFields[name] {
 			t.Errorf("sim.Scheme field %q missing from engine.schemeImage: add it (and bump hashVersion)", name)
 		}
-	}
-}
-
-// TestCacheableExcludesCustom: custom-policy configs stay out of the
-// disk cache.
-func TestCacheableExcludesCustom(t *testing.T) {
-	if !Cacheable(testConfig(1)) {
-		t.Error("static config should be cacheable")
-	}
-	cfg := testConfig(1)
-	cfg.Scheme = sim.Scheme{Kind: sim.SchemeCustom}
-	if Cacheable(cfg) {
-		t.Error("custom config must not be disk-cacheable")
 	}
 }

@@ -24,11 +24,9 @@ const hashVersion = "rrmpcm-config-v1"
 
 // hashImage is the canonical serializable view of sim.Config used for
 // hashing. It mirrors sim.Config field by field (a unit test enforces
-// the correspondence by reflection) with one substitution: the Custom
-// policy interface, which is not serializable, is represented by its
-// Name(). Configs that differ only inside an identically-named custom
-// policy therefore hash alike — which is why custom-scheme jobs are
-// additionally keyed by label and excluded from the disk cache.
+// the correspondence by reflection). CheckRetention is always true: the
+// retention checker is no longer optional, and the field stays so every
+// existing hash is unchanged.
 type hashImage struct {
 	Device    pcm.DeviceConfig
 	Hierarchy cache.HierarchyConfig
@@ -62,20 +60,30 @@ type hashImage struct {
 	Hybrid *dram.HybridConfig `json:",omitempty"`
 }
 
-// schemeImage mirrors sim.Scheme with Custom flattened to its name.
+// schemeImage mirrors sim.Scheme.
 type schemeImage struct {
 	Kind       int
 	StaticMode int
 	RRM        core.RRMConfig
-	Custom     string `json:",omitempty"`
 }
 
 // ConfigHash returns the deterministic identity of a run configuration:
 // the hex SHA-256 of its canonical JSON image. Two configs hash equal
 // iff every simulation-relevant field matches, so a hash key can never
-// alias two genuinely different runs (modulo custom-policy internals,
-// see hashImage).
+// alias two genuinely different runs.
 func ConfigHash(cfg sim.Config) (string, error) {
+	blob, err := json.Marshal(newHashImage(cfg))
+	if err != nil {
+		return "", fmt.Errorf("engine: hashing config: %w", err)
+	}
+	h := sha256.New()
+	h.Write([]byte(hashVersion))
+	h.Write(blob)
+	return hex.EncodeToString(h.Sum(nil)), nil
+}
+
+// newHashImage builds cfg's canonical image.
+func newHashImage(cfg sim.Config) hashImage {
 	img := hashImage{
 		Device:    cfg.Device,
 		Hierarchy: cfg.Hierarchy,
@@ -91,13 +99,10 @@ func ConfigHash(cfg sim.Config) (string, error) {
 		TimeScale:          cfg.TimeScale,
 		Seed:               cfg.Seed,
 		HitStallFactor:     cfg.HitStallFactor,
-		CheckRetention:     cfg.CheckRetention,
+		CheckRetention:     true,
 		CoreROB:            cfg.CoreROB,
 		CoreMSHRs:          cfg.CoreMSHRs,
 		EquivalentDuration: cfg.EquivalentDuration,
-	}
-	if cfg.Scheme.Custom != nil {
-		img.Scheme.Custom = cfg.Scheme.Custom.Name()
 	}
 	if cfg.Reliability.Enabled {
 		rel := cfg.Reliability
@@ -111,19 +116,5 @@ func ConfigHash(cfg sim.Config) (string, error) {
 		hc := *cfg.Hybrid
 		img.Hybrid = &hc
 	}
-	blob, err := json.Marshal(img)
-	if err != nil {
-		return "", fmt.Errorf("engine: hashing config: %w", err)
-	}
-	h := sha256.New()
-	h.Write([]byte(hashVersion))
-	h.Write(blob)
-	return hex.EncodeToString(h.Sum(nil)), nil
-}
-
-// Cacheable reports whether a config's results may live in the disk
-// cache: custom policies are excluded because the hash cannot see their
-// internals.
-func Cacheable(cfg sim.Config) bool {
-	return cfg.Scheme.Kind != sim.SchemeCustom
+	return img
 }

@@ -29,8 +29,9 @@ import (
 // History: v4 sim snapshot format 4 (shard-mailbox section); v5 sim
 // snapshot format 5 (no per-region wear list); v6 sim snapshot format 6
 // (no shard-mailbox section); v7 sim snapshot format 7 (one word per
-// cache line); v8 sim snapshot format 8 (no tenant-tracker flag).
-const warmHashVersion = "rrmpcm-warm-v8"
+// cache line); v8 sim snapshot format 8 (no tenant-tracker flag); v9 sim
+// snapshot format 9 (no retention-checker flag).
+const warmHashVersion = "rrmpcm-warm-v9"
 
 // warmImage is the warmup-relevant prefix of a config: hashImage minus
 // the knobs that only matter after the warmup boundary (Duration,
@@ -47,13 +48,12 @@ type warmImage struct {
 }
 
 // WarmKey returns the deterministic identity of a config's warmup
-// prefix, or ok=false when the config is not warm-start eligible:
-// custom schemes (unserializable policy state), zero warmup (nothing to
-// share), and measurement windows short enough that a core could hit
-// its stop horizon during warmup (which would make warmup behavior
-// depend on Duration).
+// prefix, or ok=false when the config is not warm-start eligible: zero
+// warmup (nothing to share), and measurement windows short enough that
+// a core could hit its stop horizon during warmup (which would make
+// warmup behavior depend on Duration).
 func WarmKey(cfg sim.Config) (string, bool, error) {
-	if cfg.Scheme.Kind == sim.SchemeCustom || cfg.Warmup <= 0 {
+	if cfg.Warmup <= 0 {
 		return "", false, nil
 	}
 	// Sampled runs are not warm-start eligible: the sampling executor
@@ -70,35 +70,12 @@ func WarmKey(cfg sim.Config) (string, bool, error) {
 	if cfg.Duration < 2*cpu.DefaultConfig(0).Quantum {
 		return "", false, nil
 	}
-	img := warmImage{}
-	img.hashImage = hashImage{
-		Device:    cfg.Device,
-		Hierarchy: cfg.Hierarchy,
-		Ctrl:      cfg.Ctrl,
-		Scheme: schemeImage{
-			Kind:       int(cfg.Scheme.Kind),
-			StaticMode: int(cfg.Scheme.StaticMode),
-			RRM:        cfg.Scheme.RRM,
-		},
-		Workload:       cfg.Workload,
-		Warmup:         cfg.Warmup,
-		TimeScale:      cfg.TimeScale,
-		Seed:           cfg.Seed,
-		HitStallFactor: cfg.HitStallFactor,
-		CheckRetention: cfg.CheckRetention,
-		CoreROB:        cfg.CoreROB,
-		CoreMSHRs:      cfg.CoreMSHRs,
-	}
+	// The staging tier's residency forms during warmup, so the hybrid
+	// settings stay in the image with everything else warmup-relevant.
+	img := warmImage{hashImage: newHashImage(cfg)}
+	img.Duration, img.EquivalentDuration = 0, 0
 	if cfg.Reliability.Enabled {
-		rel := cfg.Reliability
-		img.Reliability = &rel
 		img.WarmDuration = cfg.Duration
-	}
-	if cfg.Hybrid != nil {
-		// The staging tier's residency forms during warmup: hybrid
-		// configs only share snapshots with identical hybrid settings.
-		hc := *cfg.Hybrid
-		img.Hybrid = &hc
 	}
 	blob, err := json.Marshal(img)
 	if err != nil {

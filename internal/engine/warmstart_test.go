@@ -41,7 +41,6 @@ func TestWarmKeyEligibility(t *testing.T) {
 		t.Fatalf("base config not eligible: ok=%v err=%v", ok, err)
 	}
 	ineligible := map[string]func(*sim.Config){
-		"custom-scheme": func(c *sim.Config) { c.Scheme.Kind = sim.SchemeCustom },
 		"zero-warmup":   func(c *sim.Config) { c.Warmup = 0 },
 		"tiny-duration": func(c *sim.Config) { c.Duration = 3 * timing.Microsecond },
 		"sampled": func(c *sim.Config) {

@@ -100,9 +100,7 @@ func (o Options) SimConfig(scheme sim.Scheme, w trace.Workload) sim.Config {
 }
 
 // RunSpec names one simulation of a batch: a scheme/workload pair with an
-// optional config mutation. The Label is cosmetic (progress lines) except
-// for custom-policy schemes, where it also disambiguates the cache key
-// (the config hash cannot see custom-policy internals).
+// optional config mutation. The Label is cosmetic (progress lines).
 type RunSpec struct {
 	Label    string
 	Scheme   sim.Scheme
@@ -274,8 +272,7 @@ func (r *Runner) RunBatch(specs []RunSpec) ([]sim.Metrics, error) {
 // Run simulates (or returns the cached result of) one scheme/workload
 // pair, with optional config mutation. The result is keyed by the full
 // config hash, so mutations are always distinguished from the unmutated
-// run regardless of label; the label shows up in progress output and
-// disambiguates custom-policy schemes.
+// run regardless of label; the label shows up in progress output.
 func (r *Runner) Run(label string, scheme sim.Scheme, w trace.Workload, mutate func(*sim.Config)) (sim.Metrics, error) {
 	ms, err := r.RunBatch([]RunSpec{{Label: label, Scheme: scheme, Workload: w, Mutate: mutate}})
 	if err != nil {

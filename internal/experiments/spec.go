@@ -41,11 +41,8 @@ func SchemeNames() []string {
 // NewJob builds the engine job for one run configuration: the job key
 // is the config hash (so identical configs are idempotent everywhere —
 // Runner batches, the disk cache, and the HTTP service all agree on a
-// run's identity), the name is "label/scheme/workload" for progress
-// output, and custom-policy configs are excluded from the disk cache
-// with the label folded into the key (the hash cannot see
-// custom-policy internals, so two differently-labelled custom runs
-// must never alias).
+// run's identity) and the name is "label/scheme/workload" for progress
+// output.
 func NewJob(cfg sim.Config, label string) (engine.Job, error) {
 	key, err := engine.ConfigHash(cfg)
 	if err != nil {
@@ -55,10 +52,5 @@ func NewJob(cfg sim.Config, label string) (engine.Job, error) {
 	if label != "" {
 		name = label + "/" + name
 	}
-	job := engine.Job{Key: key, Name: name, Config: cfg}
-	if !engine.Cacheable(cfg) {
-		job.Uncacheable = true
-		job.Key = key + "/custom/" + label
-	}
-	return job, nil
+	return engine.Job{Key: key, Name: name, Config: cfg}, nil
 }

@@ -303,18 +303,13 @@ func BuildJob(req SubmitRequest) (engine.Job, error) {
 	return experiments.NewJob(cfg, req.Label)
 }
 
-// buildConfig resolves a submission into a validated run config. Trace
-// replay is a local feature (rrmsim -replay): a workload naming trace
-// files would have a worker open paths on the server, so it is refused.
+// buildConfig resolves a submission into a validated run config.
 func buildConfig(req SubmitRequest) (sim.Config, error) {
 	if req.Config != nil {
 		if req.Scheme != "" || req.Workload != "" {
 			return sim.Config{}, fmt.Errorf("config and scheme/workload shorthand are mutually exclusive")
 		}
 		cfg := *req.Config
-		if len(cfg.Workload.Replay) > 0 {
-			return sim.Config{}, fmt.Errorf("workload Replay is not served: trace replay runs locally (rrmsim -replay)")
-		}
 		if err := cfg.Validate(); err != nil {
 			return sim.Config{}, err
 		}
@@ -357,12 +352,6 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	ejob, err := BuildJob(req)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	if ejob.Uncacheable {
-		// Custom policies cannot cross the wire; Validate rejects them
-		// earlier, so this is pure defense in depth.
-		writeError(w, http.StatusBadRequest, "custom-policy configs cannot be submitted over HTTP")
 		return
 	}
 

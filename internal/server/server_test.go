@@ -191,9 +191,11 @@ func TestSubmitValidation(t *testing.T) {
 }
 
 // TestSubmitRejectsUnknownConfigField: a full config carrying a field
-// sim.Config does not have — here "Shards", the knob of the retired
-// sharded engine — is a 400 naming the field, never a silently
-// different run. The same config without the field is accepted.
+// sim.Config does not have is a 400 naming the field, never a silently
+// different run, and nothing is queued or run. The rows are knobs that
+// no longer exist: the retired sharded engine's "Shards", the retention
+// checker's off switch, and a trace-replay workload naming a file on
+// the server. The same config without any of them is accepted.
 func TestSubmitRejectsUnknownConfigField(t *testing.T) {
 	var ran atomic.Int64
 	srv, ts := newTestServer(t, Options{Sim: countingSim(&ran, instantSim)})
@@ -205,11 +207,18 @@ func TestSubmitRejectsUnknownConfigField(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var cfg map[string]any
-	if err := json.Unmarshal(blob, &cfg); err != nil {
+	path := filepath.Join(t.TempDir(), "c.rrmt")
+	if err := os.WriteFile(path, []byte("not a trace"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	post := func() (int, string) {
+	freshConfig := func() map[string]any {
+		var cfg map[string]any
+		if err := json.Unmarshal(blob, &cfg); err != nil {
+			t.Fatal(err)
+		}
+		return cfg
+	}
+	post := func(cfg map[string]any) (int, string) {
 		body, err := json.Marshal(map[string]any{"config": cfg})
 		if err != nil {
 			t.Fatal(err)
@@ -224,16 +233,31 @@ func TestSubmitRejectsUnknownConfigField(t *testing.T) {
 		return resp.StatusCode, e["error"]
 	}
 
-	cfg["Shards"] = 4
-	if code, msg := post(); code != http.StatusBadRequest || !strings.Contains(msg, `unknown field "Shards"`) {
-		t.Errorf("config with Shards: status %d error %q, want 400 naming the field", code, msg)
+	for _, tc := range []struct {
+		field string
+		set   func(cfg map[string]any)
+	}{
+		{"Shards", func(cfg map[string]any) { cfg["Shards"] = 4 }},
+		{"CheckRetention", func(cfg map[string]any) { cfg["CheckRetention"] = false }},
+		{"Replay", func(cfg map[string]any) {
+			refs := make([]any, 4)
+			for i := range refs {
+				refs[i] = map[string]any{"Path": path, "Sum": 1}
+			}
+			cfg["Workload"].(map[string]any)["Replay"] = refs
+		}},
+	} {
+		cfg := freshConfig()
+		tc.set(cfg)
+		if code, msg := post(cfg); code != http.StatusBadRequest || !strings.Contains(msg, tc.field) {
+			t.Errorf("config with %s: status %d error %q, want 400 naming the field", tc.field, code, msg)
+		}
+		if n := srv.QueueDepth(); n != 0 || ran.Load() != 0 {
+			t.Errorf("rejected %s submit left %d queued, %d run", tc.field, n, ran.Load())
+		}
 	}
-	if n := srv.QueueDepth(); n != 0 || ran.Load() != 0 {
-		t.Errorf("rejected submit left %d queued, %d run", n, ran.Load())
-	}
-	delete(cfg, "Shards")
-	if code, msg := post(); code != http.StatusAccepted {
-		t.Errorf("config without Shards: status %d (%s), want 202", code, msg)
+	if code, msg := post(freshConfig()); code != http.StatusAccepted {
+		t.Errorf("plain config: status %d (%s), want 202", code, msg)
 	}
 }
 
@@ -320,43 +344,6 @@ func TestSubmitRejectsHostileTiers(t *testing.T) {
 	}
 	if n := srv.QueueDepth(); n != 0 || ran.Load() != 0 {
 		t.Errorf("rejected submits left %d queued, %d run", n, ran.Load())
-	}
-}
-
-// TestSubmitRejectsReplayConfig: a full config whose workload replays
-// trace files would have a worker open paths on the server, so it is a
-// 400 naming Replay, and nothing is queued or run.
-func TestSubmitRejectsReplayConfig(t *testing.T) {
-	var ran atomic.Int64
-	srv, ts := newTestServer(t, Options{Sim: countingSim(&ran, instantSim)})
-	path := filepath.Join(t.TempDir(), "c.rrmt")
-	if err := os.WriteFile(path, []byte("not a trace"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	w, err := trace.WorkloadByName("GemsFDTD")
-	if err != nil {
-		t.Fatal(err)
-	}
-	w.Cores = nil
-	for i := 0; i < 4; i++ {
-		w.Replay = append(w.Replay, trace.TraceRef{Path: path, Sum: 1})
-	}
-	body, err := json.Marshal(map[string]any{"config": sim.DefaultConfig(sim.RRMScheme(), w)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp, err := http.Post(ts.URL+"/api/v1/jobs", "application/json", bytes.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var e map[string]string
-	_ = json.NewDecoder(resp.Body).Decode(&e)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(e["error"], "Replay") {
-		t.Errorf("replay config: status %d error %q, want 400 naming Replay", resp.StatusCode, e["error"])
-	}
-	if n := srv.QueueDepth(); n != 0 || ran.Load() != 0 {
-		t.Errorf("rejected submit left %d queued, %d run", n, ran.Load())
 	}
 }
 

@@ -307,9 +307,7 @@ func (b *backend) IssueRefresh(addr uint64, mode pcm.WriteMode, kind pcm.WearKin
 func (b *backend) RecordWrite(addr uint64, mode pcm.WriteMode, kind pcm.WearKind) {
 	b.sys.wear.RecordBlockWrite(addr, mode, kind)
 	b.sys.energy.AddBlockWrite(mode, kind)
-	if b.sys.checker != nil {
-		b.sys.checker.onWrite(addr, mode, b.sys.eq.Now())
-	}
+	b.sys.checker.onWrite(addr, mode, b.sys.eq.Now())
 	if b.sys.rel != nil {
 		// Every completed rewrite — demand write, RRM refresh, slow or
 		// patrol refresh — scrubs the line's accumulated error state.
@@ -320,7 +318,5 @@ func (b *backend) RecordWrite(addr uint64, mode pcm.WriteMode, kind pcm.WearKind
 // RecordRead implements memctrl.Recorder.
 func (b *backend) RecordRead(addr uint64) {
 	b.sys.energy.AddBlockRead()
-	if b.sys.checker != nil {
-		b.sys.checker.onRead(addr, b.sys.eq.Now())
-	}
+	b.sys.checker.onRead(addr, b.sys.eq.Now())
 }

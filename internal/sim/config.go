@@ -17,10 +17,10 @@
 // extracted, refresh-caused quantities (wear, energy, queue traffic) are
 // divided by TimeScale again, which restores real rates exactly because
 // refresh work is purely clock-driven. Demand-side rates are measured
-// directly. Hotness classification is count-based (hot_threshold dirty
-// writes), so it is unaffected by the clock scaling, and the decay
-// mechanism sees proportionally compressed windows. TimeScale=1 with
-// Duration=5 s reproduces the paper's literal setup.
+// directly. Hotness classification is not clock-invariant: the decay
+// tick is divided by TimeScale but the dirty writes it counts arrive at
+// the native rate, so RRM's result moves with TimeScale (DESIGN §2).
+// TimeScale=1 with Duration=5 s reproduces the paper's literal setup.
 package sim
 
 import (
@@ -45,8 +45,6 @@ const (
 	SchemeStatic SchemeKind = iota
 	// SchemeRRM is the paper's Region Retention Monitor.
 	SchemeRRM
-	// SchemeCustom plugs in a user-provided WritePolicy.
-	SchemeCustom
 )
 
 // Scheme selects and parameterizes the write policy of a run.
@@ -59,9 +57,6 @@ type Scheme struct {
 	// RRM configures SchemeRRM with *unscaled* paper constants; the
 	// simulator applies TimeScale to the periodic intervals.
 	RRM core.RRMConfig
-
-	// Custom is the policy for SchemeCustom.
-	Custom core.WritePolicy
 }
 
 // StaticScheme returns the Static-N baseline for the given mode.
@@ -82,10 +77,7 @@ func (s Scheme) Name() string {
 	case SchemeRRM:
 		return s.RRM.Name()
 	default:
-		if s.Custom != nil {
-			return s.Custom.Name()
-		}
-		return "custom"
+		return fmt.Sprintf("scheme-%d", int(s.Kind))
 	}
 }
 
@@ -111,10 +103,6 @@ type Config struct {
 	// the core synchronously (the rest is assumed hidden by the OoO
 	// window). L1 hits are fully pipelined.
 	HitStallFactor float64
-
-	// CheckRetention enables the per-block retention deadline checker
-	// (always on in tests; cheap enough to leave on everywhere).
-	CheckRetention bool
 
 	// Reliability configures the drift-fault injection + ECC + scrub
 	// model (internal/reliability). Disabled by default: enabling it
@@ -162,7 +150,6 @@ func DefaultConfig(scheme Scheme, w trace.Workload) Config {
 		TimeScale:          100,
 		Seed:               1,
 		HitStallFactor:     0.35,
-		CheckRetention:     true,
 		Reliability:        reliability.DefaultConfig(),
 		EquivalentDuration: 5 * timing.Second,
 	}
@@ -207,9 +194,6 @@ func (c Config) Validate() error {
 		if err := c.Sampling.Validate(c.Duration); err != nil {
 			return err
 		}
-		if c.Scheme.Kind == SchemeCustom {
-			return fmt.Errorf("sim: custom schemes cannot be sampled (snapshots cannot carry policy state)")
-		}
 	}
 	if err := c.Reliability.Validate(); err != nil {
 		return err
@@ -227,10 +211,6 @@ func (c Config) Validate() error {
 	case SchemeRRM:
 		if err := c.Scheme.RRM.Validate(); err != nil {
 			return err
-		}
-	case SchemeCustom:
-		if c.Scheme.Custom == nil {
-			return fmt.Errorf("sim: custom scheme without policy")
 		}
 	default:
 		return fmt.Errorf("sim: unknown scheme kind %d", int(c.Scheme.Kind))

@@ -262,11 +262,9 @@ func (s *System) collect(window timing.Time) Metrics {
 		m.RefreshBacklogMax = s.backend.maxRefreshBacklog
 	}
 
-	if s.checker != nil {
-		m.RetentionViolations = s.checker.violations
-		m.FirstViolation = s.checker.firstViolation
-		m.RetentionDetail = s.checker.detail()
-	}
+	m.RetentionViolations = s.checker.violations
+	m.FirstViolation = s.checker.firstViolation
+	m.RetentionDetail = s.checker.detail()
 
 	// Reliability: counter deltas over the measurement window, then the
 	// derived per-billion-read rates.

@@ -44,15 +44,13 @@ type retentionChecker struct {
 
 func newRetentionChecker(cfg Config) *retentionChecker {
 	rc := &retentionChecker{
-		longMode: pcm.Mode7SETs,
+		longMode: cfg.Scheme.StaticMode,
 		deadline: make(map[uint64]timing.Time),
 		horizon:  timing.Forever,
 		sampling: 1,
 	}
 	if cfg.Scheme.Kind == SchemeRRM {
 		rc.longMode = cfg.Scheme.RRM.LongMode
-	} else if cfg.Scheme.Kind == SchemeStatic {
-		rc.longMode = cfg.Scheme.StaticMode
 	}
 	for _, m := range pcm.Modes() {
 		rc.retention[m] = cfg.scaledRetention(m)

@@ -44,7 +44,6 @@ func TestConfigValidation(t *testing.T) {
 		func(c *Config) { c.HitStallFactor = 1.5 },
 		func(c *Config) { c.Scheme = StaticScheme(pcm.WriteMode(9)) },
 		func(c *Config) { c.Scheme = Scheme{Kind: SchemeRRM} },
-		func(c *Config) { c.Scheme = Scheme{Kind: SchemeCustom} },
 		func(c *Config) { c.Scheme = Scheme{Kind: SchemeKind(9)} },
 		// Profile fields that size New's allocations (1<<33 of either
 		// would ask for 64 GiB; never built here).
@@ -148,9 +147,6 @@ func TestSchemeNames(t *testing.T) {
 	if got := tieredScheme(a4Tiers()).Name(); got != "RRM-7/5/3" {
 		t.Errorf("tiered rrm name = %q", got)
 	}
-	if got := (Scheme{Kind: SchemeCustom}).Name(); got != "custom" {
-		t.Errorf("custom fallback name = %q", got)
-	}
 }
 
 func TestScaledRRM(t *testing.T) {
@@ -196,17 +192,13 @@ func tieredScheme(tiers []core.RRMTier) Scheme {
 }
 
 // TestSampledSchemeValidation: a tiered RRM is an RRM, so it can be
-// sampled (its state snapshots); a custom policy still cannot.
+// sampled (its state snapshots).
 func TestSampledSchemeValidation(t *testing.T) {
 	spec := &SamplingSpec{Windows: 4, Window: 250 * timing.Microsecond, DetailWarmup: 100 * timing.Microsecond}
 	cfg := quickConfig(t, tieredScheme(a4Tiers()), "hmmer")
 	cfg.Sampling = spec
 	if err := cfg.Validate(); err != nil {
 		t.Errorf("sampled tiered RRM rejected: %v", err)
-	}
-	cfg.Scheme = Scheme{Kind: SchemeCustom, Custom: core.NewStatic(pcm.Mode5SETs)}
-	if err := cfg.Validate(); err == nil || !strings.Contains(err.Error(), "sampled") {
-		t.Errorf("sampled custom scheme: Validate = %v, want a rejection", err)
 	}
 }
 
@@ -335,31 +327,6 @@ func TestRRMSchemeSplitsModes(t *testing.T) {
 	}
 	if m.RetentionViolations != 0 {
 		t.Errorf("violations: %d (%s)", m.RetentionViolations, m.FirstViolation)
-	}
-}
-
-// slowPolicy is a trivial custom policy for the plug-in test.
-type slowPolicy struct{ core.Static }
-
-func TestCustomScheme(t *testing.T) {
-	w, _ := trace.WorkloadByName("hmmer")
-	cfg := DefaultConfig(Scheme{Kind: SchemeCustom, Custom: core.NewStatic(pcm.Mode5SETs)}, w)
-	cfg.Duration = 2 * timing.Millisecond
-	cfg.Warmup = 500 * timing.Microsecond
-	cfg.TimeScale = 1000
-	sys, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m, err := sys.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.Scheme != "Static-5-SETs" {
-		t.Errorf("scheme = %q", m.Scheme)
-	}
-	if m.WritesByMode[pcm.Mode5SETs] == 0 {
-		t.Error("custom policy unused")
 	}
 }
 

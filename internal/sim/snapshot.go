@@ -33,23 +33,21 @@ import (
 // per-level use clock.
 // v8 drops the v2 tenant-tracker presence flag (always false) with
 // multi-tenant attribution.
+// v9 drops the retention-checker presence flag (always true once the
+// checker became unconditional).
 // engine.warmHashVersion was bumped alongside each, so older blobs are
 // never looked up, let alone misparsed.
 const (
 	sysSnapMagic   uint32 = 0x52524D53 // "RRMS"
-	sysSnapVersion uint16 = 8
+	sysSnapVersion uint16 = 9
 )
 
 // Snapshot serializes a warmed system (after Warmup, before Measure).
 // The blob can be restored into a freshly built System with the same
-// warmup-relevant configuration. Custom schemes carry arbitrary external
-// policy state and cannot be snapshotted.
+// warmup-relevant configuration.
 func (s *System) Snapshot() ([]byte, error) {
 	if s.phase != phaseWarm {
 		return nil, fmt.Errorf("sim: Snapshot requires a warmed, unmeasured system (have %s)", s.phase)
-	}
-	if s.cfg.Scheme.Kind == SchemeCustom {
-		return nil, fmt.Errorf("sim: custom schemes cannot be snapshotted")
 	}
 	w := snapshot.NewWriter(max(1<<20, s.snapCap))
 	w.Header(sysSnapMagic, sysSnapVersion)
@@ -77,10 +75,7 @@ func (s *System) Snapshot() ([]byte, error) {
 			return nil, err
 		}
 	}
-	w.Bool(s.checker != nil)
-	if s.checker != nil {
-		s.checker.snapshot(w)
-	}
+	s.checker.snapshot(w)
 	w.Bool(s.migr != nil)
 	if s.migr != nil {
 		if err := s.dramDev.Snapshot(w); err != nil {
@@ -112,9 +107,6 @@ func (s *System) Snapshot() ([]byte, error) {
 func (s *System) Restore(blob []byte) error {
 	if s.phase != phaseNew {
 		return fmt.Errorf("sim: Restore requires a freshly built system (have %s)", s.phase)
-	}
-	if s.cfg.Scheme.Kind == SchemeCustom {
-		return fmt.Errorf("sim: custom schemes cannot be restored")
 	}
 	r, err := snapshot.NewReader(blob, sysSnapMagic, sysSnapVersion)
 	if err != nil {
@@ -165,12 +157,7 @@ func (s *System) Restore(blob []byte) error {
 	if s.rel != nil && r.Err() == nil {
 		s.rel.Restore(r)
 	}
-	if hasChk := r.Bool(); r.Err() == nil && hasChk != (s.checker != nil) {
-		r.Fail("sim: snapshot/config retention-checker mismatch (present: %v)", hasChk)
-	}
-	if s.checker != nil && r.Err() == nil {
-		s.checker.restore(r)
-	}
+	s.checker.restore(r)
 	if hasHyb := r.Bool(); r.Err() == nil && hasHyb != (s.migr != nil) {
 		r.Fail("sim: snapshot/config hybrid mismatch (present: %v)", hasHyb)
 	}

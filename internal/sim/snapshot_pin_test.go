@@ -26,14 +26,14 @@ func TestSnapshotBytesPinned(t *testing.T) {
 		{"rrm-GemsFDTD", func() Config {
 			w, _ := trace.WorkloadByName("GemsFDTD")
 			return DefaultConfig(RRMScheme(), w)
-		}, "b36f1375f6a0f68505de22e4171ce25cb6936aaaac16eca8e091321dddcc775a"},
+		}, "9fbb373043734142bd9cd8a0f0022798006958215a5ca33b5a841e548925ec34"},
 		{"static-3-GemsFDTD-reliability-patrol", func() Config {
 			w, _ := trace.WorkloadByName("GemsFDTD")
 			cfg := DefaultConfig(StaticScheme(pcm.Mode3SETs), w)
 			cfg.Reliability.Enabled = true
 			cfg.Reliability.Patrol = true
 			return cfg
-		}, "11a03babc5cfe6685969c3eadcb42b313747afb055dfc21c1ec7b08f729a2b4e"},
+		}, "0eca2d49268effa2a4c021b29fc71640f144d02708bd3f0676622636a9fc58c8"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

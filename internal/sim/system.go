@@ -13,7 +13,6 @@ import (
 	"rrmpcm/internal/reliability"
 	"rrmpcm/internal/timing"
 	"rrmpcm/internal/trace"
-	"rrmpcm/internal/tracefile"
 )
 
 // runPhase tracks a System's single-use lifecycle: built, warmed (by
@@ -70,7 +69,7 @@ type System struct {
 	dramDev *dram.Device   // nil unless the hybrid tier is enabled
 	migr    *dram.Migrator // nil unless the hybrid tier is enabled
 	policy  core.WritePolicy
-	rrm     *core.RRM // nil for static/custom schemes
+	rrm     *core.RRM // nil for static schemes
 	cores   []*cpu.Core
 	gens    []trace.Stream // per-core streams, retained for snapshots
 	backend *backend
@@ -107,9 +106,7 @@ func New(cfg Config) (*System, error) {
 	if err != nil {
 		return nil, err
 	}
-	if cfg.CheckRetention {
-		s.checker = newRetentionChecker(cfg)
-	}
+	s.checker = newRetentionChecker(cfg)
 	s.backend = newBackend(s)
 
 	s.ctl, err = memctrl.New(cfg.Ctrl, s.amap, s.eq, s.backend)
@@ -126,15 +123,11 @@ func New(cfg Config) (*System, error) {
 			return nil, err
 		}
 		s.policy = s.rrm
-	case SchemeCustom:
-		s.policy = cfg.Scheme.Custom
 	}
 
-	if s.checker != nil {
-		// The checker tracks exactly the blocks whose refreshes the
-		// policy actually simulates (see core.SampledBlock).
-		s.checker.sampling = s.refreshSampling()
-	}
+	// The checker tracks exactly the blocks whose refreshes the policy
+	// actually simulates (see core.SampledBlock).
+	s.checker.sampling = s.refreshSampling()
 	if cfg.Reliability.Enabled {
 		// The fault injector shares the checker's sampled-subset rule
 		// and gets its own config-derived RNG stream (never the trace
@@ -167,14 +160,8 @@ func New(cfg Config) (*System, error) {
 
 	nStreams := cfg.Workload.NumStreams()
 	for i := 0; i < nStreams; i++ {
-		var gen trace.Stream
-		var err error
-		if len(cfg.Workload.Replay) > 0 {
-			gen, err = loadReplayStream(cfg.Workload.Replay[i])
-		} else {
-			base, span := trace.CorePartition(cfg.Device.MemBytes, nStreams, i)
-			gen, err = trace.NewStream(cfg.Workload, i, base, span, cfg.Seed)
-		}
+		base, span := trace.CorePartition(cfg.Device.MemBytes, nStreams, i)
+		gen, err := trace.NewStream(cfg.Workload, i, base, span, cfg.Seed)
 		if err != nil {
 			return nil, err
 		}
@@ -195,23 +182,6 @@ func New(cfg Config) (*System, error) {
 	s.base.coreInsts = make([]uint64, 0, len(s.cores))
 	s.base.coreTimes = make([]timing.Time, 0, len(s.cores))
 	return s, nil
-}
-
-// loadReplayStream opens one recorded trace stream and verifies its
-// content checksum against the configured reference — the config hash
-// covers ref.Sum, so a file whose bytes drifted since the config was
-// hashed is rejected here instead of silently simulating a different
-// workload under the old identity.
-func loadReplayStream(ref trace.TraceRef) (trace.Stream, error) {
-	f, err := tracefile.Load(ref.Path)
-	if err != nil {
-		return nil, err
-	}
-	if ref.Sum != 0 && f.Sum() != ref.Sum {
-		return nil, fmt.Errorf("sim: trace %s content checksum %#x does not match configured %#x",
-			ref.Path, f.Sum(), ref.Sum)
-	}
-	return f.Stream(), nil
 }
 
 // RRM exposes the monitor for inspection (nil for static schemes).
@@ -303,9 +273,7 @@ func (s *System) finishMeasure(ctx context.Context, end timing.Time, window timi
 	// last writes are accounted. Expiries past this horizon are
 	// truncation artifacts, not policy violations.
 	s.backend.stopped = true
-	if s.checker != nil {
-		s.checker.horizon = end
-	}
+	s.checker.horizon = end
 	deadline := end + 100*timing.Millisecond
 	for s.dev.Pending() && s.eq.Now() < deadline {
 		if err := ctx.Err(); err != nil {
@@ -316,9 +284,7 @@ func (s *System) finishMeasure(ctx context.Context, end timing.Time, window timi
 	if s.dev.Pending() {
 		return Metrics{}, fmt.Errorf("sim: memory system failed to drain after %v", deadline-end)
 	}
-	if s.checker != nil {
-		s.checker.finish(s.eq.Now())
-	}
+	s.checker.finish(s.eq.Now())
 	if s.rel != nil {
 		// Classify lines the workload never re-read. Ages are measured
 		// at the window end: rewrites that completed during the drain

@@ -323,6 +323,6 @@ func fnv1a(b []byte) uint64 {
 }
 
 // Checksum exposes the codec's 64-bit FNV-1a hash so sibling on-disk
-// formats (the engine run cache, trace files) can carry the same
+// formats (the engine run cache) can carry the same
 // integrity trailer as snapshot blobs.
 func Checksum(b []byte) uint64 { return fnv1a(b) }

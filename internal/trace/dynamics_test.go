@@ -273,18 +273,13 @@ func TestDynamicWorkloads(t *testing.T) {
 
 func TestWorkloadValidation(t *testing.T) {
 	gems, _ := WorkloadByName("GemsFDTD")
-	replay := Workload{Name: "r", Replay: []TraceRef{{Path: "a", Sum: 1}, {Path: "b", Sum: 2}}}
-	if err := replay.Validate(); err != nil {
-		t.Errorf("valid replay workload rejected: %v", err)
+	if err := gems.Validate(); err != nil {
+		t.Errorf("GemsFDTD rejected: %v", err)
 	}
-	if n := replay.NumStreams(); n != 2 {
-		t.Errorf("replay NumStreams = %d, want 2", n)
+	if n := gems.NumStreams(); n != 4 {
+		t.Errorf("GemsFDTD NumStreams = %d, want 4", n)
 	}
 	bad := []Workload{
-		{Name: "x", Replay: []TraceRef{{Path: "a", Sum: 1}}, Cores: gems.Cores},
-		{Name: "x", Replay: []TraceRef{{Path: "a", Sum: 1}}, Dynamics: testDynamics()},
-		{Name: "x", Replay: []TraceRef{{Path: "", Sum: 1}}},
-		{Name: "x", Replay: []TraceRef{{Path: "a", Sum: 0}}},
 		{Name: "x", Cores: gems.Cores, Dynamics: &Dynamics{}},
 	}
 	for i, w := range bad {

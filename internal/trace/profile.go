@@ -221,63 +221,26 @@ func ProfileByName(name string) (Profile, error) {
 // Workload names the per-core benchmark assignment of one experiment run:
 // either four copies of one benchmark or one of the Table VII mixes.
 //
-// The three optional fields below are all omitempty in the config-hash
-// image, so every pre-existing workload keeps its hash (and its run
-// cache entries and warm snapshots) unchanged.
+// Dynamics is omitempty in the config-hash image, so every stationary
+// workload keeps its hash (and its run cache entries and warm
+// snapshots) unchanged.
 type Workload struct {
 	Name  string
 	Cores []Profile
 
 	// Dynamics, when set, makes the synthetic streams non-stationary
 	// (phase switches, diurnal modulation, bursty arrivals). It applies
-	// to every core. Synthetic workloads only.
+	// to every core.
 	Dynamics *Dynamics `json:",omitempty"`
-
-	// Replay, when non-empty, replaces synthetic generation entirely:
-	// stream i replays Replay[i]'s trace file (tracefile format). Cores
-	// must be empty — the core-model parameters come from the files.
-	Replay []TraceRef `json:",omitempty"`
-}
-
-// TraceRef identifies one recorded trace stream.
-type TraceRef struct {
-	// Path of the trace file.
-	Path string
-	// Sum is the FNV-1a checksum of the complete file, verified at
-	// load. It content-addresses the replay: the config hash covers the
-	// trace bytes, not just a path, so replay configs can never collide
-	// with each other (or with generator configs) through path reuse.
-	Sum uint64
 }
 
 // NumStreams returns the number of per-core streams the workload
-// describes: replay files when replaying, profiles otherwise.
-func (w Workload) NumStreams() int {
-	if len(w.Replay) > 0 {
-		return len(w.Replay)
-	}
-	return len(w.Cores)
-}
+// describes: one per profile.
+func (w Workload) NumStreams() int { return len(w.Cores) }
 
 // Validate checks the workload's structural consistency (the profiles
 // themselves are validated at stream construction).
 func (w Workload) Validate() error {
-	if len(w.Replay) > 0 {
-		if len(w.Cores) > 0 {
-			return fmt.Errorf("trace: workload %s mixes replay files and synthetic cores", w.Name)
-		}
-		if w.Dynamics != nil {
-			return fmt.Errorf("trace: workload %s combines replay with dynamics", w.Name)
-		}
-		for i, ref := range w.Replay {
-			if ref.Path == "" {
-				return fmt.Errorf("trace: workload %s replay stream %d has no path", w.Name, i)
-			}
-			if ref.Sum == 0 {
-				return fmt.Errorf("trace: workload %s replay stream %d has no content checksum", w.Name, i)
-			}
-		}
-	}
 	for _, p := range w.Cores {
 		if err := p.Validate(); err != nil {
 			return err

@@ -25,9 +25,6 @@
 //
 //	m7, _ := rrmpcm.Run(rrmpcm.DefaultConfig(rrmpcm.StaticScheme(rrmpcm.Mode7SETs), w))
 //
-// Custom write policies implement WritePolicy and run via CustomScheme;
-// see examples/custompolicy.
-//
 // The exported names are aliases into the implementation packages, so
 // everything documented there applies here unchanged.
 package rrmpcm
@@ -120,10 +117,6 @@ type RRMTier = core.RRMTier
 // regions, hot_threshold 16, 96 KB of storage.
 func DefaultRRMConfig() RRMConfig { return core.DefaultRRMConfig() }
 
-// WritePolicy decides the write mode of every memory write; implement it
-// to plug a custom policy into the simulator.
-type WritePolicy = core.WritePolicy
-
 // RRMStats are the monitor's internal counters.
 type RRMStats = core.Stats
 
@@ -162,7 +155,6 @@ type SchemeKind = sim.SchemeKind
 const (
 	SchemeStatic = sim.SchemeStatic
 	SchemeRRM    = sim.SchemeRRM
-	SchemeCustom = sim.SchemeCustom
 )
 
 // StaticScheme returns the Static-N-SETs baseline for mode (Table VI).
@@ -176,11 +168,6 @@ func RRMScheme() Scheme { return sim.RRMScheme() }
 // configuration (paper constants; the simulator applies TimeScale).
 func RRMSchemeWith(cfg RRMConfig) Scheme {
 	return Scheme{Kind: sim.SchemeRRM, RRM: cfg}
-}
-
-// CustomScheme wraps a user write policy.
-func CustomScheme(p WritePolicy) Scheme {
-	return Scheme{Kind: sim.SchemeCustom, Custom: p}
 }
 
 // ReliabilityConfig parameterizes the drift-fault injector, the t-bit
@@ -309,8 +296,7 @@ func NewMixture(p Profile, base, span, seed uint64) (*Mixture, error) {
 
 // Stream is the per-core workload source the simulator drives: a
 // deterministic generator plus core-model parameters and snapshot
-// hooks. Mixture, Dynamic (non-stationary) and trace-file replay
-// cursors all implement it.
+// hooks. Mixture and Dynamic (non-stationary) implement it.
 type Stream = trace.Stream
 
 // Dynamics declares a workload's non-stationary behavior: program
@@ -323,11 +309,6 @@ type (
 	Burst    = trace.Burst
 )
 
-// TraceRef points a workload stream at a recorded trace file; Sum
-// content-addresses the file so a replay run's identity covers the
-// trace bytes (Workload.Replay).
-type TraceRef = trace.TraceRef
-
 // DynamicWorkloads returns the non-stationary reference workloads
 // (phase-changing, bursty, diurnal) used by the phases experiment.
 func DynamicWorkloads() []Workload { return trace.DynamicWorkloads() }
@@ -338,11 +319,6 @@ func DynamicWorkloads() []Workload { return trace.DynamicWorkloads() }
 func NewStream(w Workload, i int, base, span, seed uint64) (Stream, error) {
 	return trace.NewStream(w, i, base, span, seed)
 }
-
-// CoreSeed is the simulator's per-core seeding rule; CorePartition its
-// address-layout rule. Trace exporters use both to reproduce the exact
-// streams a simulation run would generate.
-func CoreSeed(seed uint64, core int) uint64 { return trace.CoreSeed(seed, core) }
 
 // CorePartition returns core i's address partition when n streams split
 // memBytes evenly.
