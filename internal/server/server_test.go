@@ -261,6 +261,55 @@ func TestSubmitRejectsUnknownConfigField(t *testing.T) {
 	}
 }
 
+// TestSubmitRejectsReplayConfig: the workload shape a trace-replay
+// client sent — no Cores, one Replay file per stream, each naming a
+// file on the server — is a 400 naming Replay; nothing is queued or
+// run and no file is opened.
+func TestSubmitRejectsReplayConfig(t *testing.T) {
+	var ran atomic.Int64
+	srv, ts := newTestServer(t, Options{Sim: countingSim(&ran, instantSim)})
+	path := filepath.Join(t.TempDir(), "c.rrmt")
+	if err := os.WriteFile(path, []byte("not a trace"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	w, err := trace.WorkloadByName("GemsFDTD")
+	if err != nil {
+		t.Fatal(err)
+	}
+	blob, err := json.Marshal(sim.DefaultConfig(sim.RRMScheme(), w))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var cfg map[string]any
+	if err := json.Unmarshal(blob, &cfg); err != nil {
+		t.Fatal(err)
+	}
+	refs := make([]any, 4)
+	for i := range refs {
+		refs[i] = map[string]any{"Path": path, "Sum": 1}
+	}
+	workload := cfg["Workload"].(map[string]any)
+	delete(workload, "Cores")
+	workload["Replay"] = refs
+	body, err := json.Marshal(map[string]any{"config": cfg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Post(ts.URL+"/api/v1/jobs", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var e map[string]string
+	_ = json.NewDecoder(resp.Body).Decode(&e)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(e["error"], "Replay") {
+		t.Errorf("replay config: status %d error %q, want 400 naming Replay", resp.StatusCode, e["error"])
+	}
+	if n := srv.QueueDepth(); n != 0 || ran.Load() != 0 {
+		t.Errorf("rejected submit left %d queued, %d run", n, ran.Load())
+	}
+}
+
 // TestSubmitRejectsOversizedProfile: a full config whose workload asks
 // for a hot pool or revisit ring far past its working set (each of these
 // would have NewMixture allocate 64 GiB) is a 400 naming the field, and
