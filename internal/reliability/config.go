@@ -8,8 +8,9 @@
 // The model is fully deterministic: every line carries its own
 // SplitMix64 stream seeded from the run's reliability seed, the line
 // address and a write-generation counter, so bit-flip samples never
-// depend on event interleaving or map iteration order, and fixed-seed
-// runs report bit-identical error metrics at any parallelism level.
+// depend on event interleaving or on the order lines are visited in,
+// and fixed-seed runs report bit-identical error metrics at any
+// parallelism level.
 //
 // # Time scaling
 //

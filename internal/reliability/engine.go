@@ -6,16 +6,19 @@ import (
 	"rrmpcm/internal/timing"
 )
 
-// lineState is the per-tracked-line error state. Value-typed on purpose:
-// updates copy it out of and back into the map, so the steady-state read
-// path never allocates.
+// lineState is one tracked line: its address, its error state and its
+// link in the patrol ring. The fields pack into 40 bytes; entries live
+// in fixed chunks of the line table (table.go) and never move, so the
+// hot paths update them in place through a pointer.
 type lineState struct {
+	blk       uint64      // line address (64-byte aligned)
 	writtenAt timing.Time // simulated-clock time of the last rewrite
 	rng       uint64      // private SplitMix64 stream of this generation
 	lastP     float64     // drift bit-error probability at last inspection
 	flips     uint16      // accumulated wrong bits (programming + drift)
 	mode      uint8       // pcm.WriteMode of the last rewrite
 	scrubbed  bool        // rewritten at least once since first tracked
+	next      uint32      // patrol ring: position of the line popped after this one
 }
 
 // Engine is the per-run fault injector + ECC model + scrub bookkeeping.
@@ -30,14 +33,18 @@ type Engine struct {
 	sampling  uint64
 	seed      uint64
 
-	lines      map[uint64]lineState
+	lines      lineTable
 	generation uint64
 
-	// Patrol round-robin queue: tracked line addresses in first-tracked
-	// order. head indexes the next victim; popped lines re-append, so
-	// the scrubber cycles the whole population deterministically.
-	patrolQ    []uint64
-	patrolHead int
+	// Patrol round-robin queue: a circular list of every tracked line,
+	// threaded through lineState.next. tail is the position of the
+	// line at the back of the queue; the front is lines.at(tail).next.
+	// A pop advances tail one step (the popped line is now the back)
+	// and a newly tracked line is linked in after tail, so the
+	// scrubber cycles the whole population in the order a FIFO of
+	// first-tracked lines would. Valid only while Patrol is on and a
+	// line is tracked.
+	tail uint32
 
 	m Metrics
 }
@@ -61,7 +68,7 @@ func New(cfg Config, table pcm.DriftTable, timeScale float64, sampling uint64, s
 		timeScale: timeScale,
 		sampling:  sampling,
 		seed:      seed,
-		lines:     make(map[uint64]lineState),
+		lines:     newLineTable(),
 	}
 }
 
@@ -97,9 +104,9 @@ func (e *Engine) OnWrite(addr uint64, mode pcm.WriteMode, kind pcm.WearKind, now
 	if !core.SampledBlock(blk, e.sampling) {
 		return
 	}
-	ls, tracked := e.lines[blk]
-	if tracked {
-		e.updateFlips(&ls, now)
+	_, ls := e.lines.find(blk)
+	if ls != nil {
+		e.updateFlips(ls, now)
 		if f := int(ls.flips); f > e.cfg.ECCBits {
 			e.m.ScrubFoundUncorrectable++
 		} else if f > 0 {
@@ -116,9 +123,7 @@ func (e *Engine) OnWrite(addr uint64, mode pcm.WriteMode, kind pcm.WearKind, now
 		}
 	} else {
 		e.m.LinesTracked++
-		if e.cfg.Patrol {
-			e.patrolQ = append(e.patrolQ, blk)
-		}
+		ls = e.track(blk)
 	}
 	e.generation++
 	ls.writtenAt = now
@@ -126,7 +131,23 @@ func (e *Engine) OnWrite(addr uint64, mode pcm.WriteMode, kind pcm.WearKind, now
 	ls.lastP = 0
 	ls.rng = lineSeed(e.seed, blk, e.generation)
 	ls.flips = uint16(binomial(&ls.rng, e.cfg.LineBits, e.cfg.ProgBitErrorProb))
-	e.lines[blk] = ls
+}
+
+// track adds blk to the table and, with patrol on, links it in at the
+// back of the patrol queue.
+func (e *Engine) track(blk uint64) *lineState {
+	p, ls := e.lines.insert(blk)
+	if e.cfg.Patrol {
+		if p == 0 {
+			ls.next = p
+		} else {
+			back := e.lines.at(e.tail)
+			ls.next = back.next
+			back.next = p
+		}
+		e.tail = p
+	}
+	return ls
 }
 
 // OnDemandRead classifies a demand read of addr completing at now and
@@ -135,12 +156,11 @@ func (e *Engine) OnWrite(addr uint64, mode pcm.WriteMode, kind pcm.WearKind, now
 // hook.
 func (e *Engine) OnDemandRead(addr uint64, now timing.Time) timing.Time {
 	blk := addr &^ 63
-	ls, ok := e.lines[blk]
-	if !ok {
+	_, ls := e.lines.find(blk)
+	if ls == nil {
 		return 0
 	}
-	e.updateFlips(&ls, now)
-	e.lines[blk] = ls
+	e.updateFlips(ls, now)
 	e.m.ReadsChecked++
 	var stall timing.Time
 	switch f := int(ls.flips); {
@@ -164,33 +184,26 @@ func (e *Engine) OnDemandRead(addr uint64, now timing.Time) timing.Time {
 // the back of the queue, so the scrubber cycles the whole tracked
 // population at a rate of PatrolBatch lines per tick.
 func (e *Engine) Patrol(issue func(addr uint64, mode pcm.WriteMode)) {
-	queued := len(e.patrolQ) - e.patrolHead
-	if queued > e.cfg.PatrolBatch {
-		queued = e.cfg.PatrolBatch
+	if !e.cfg.Patrol {
+		return
 	}
+	queued := min(e.lines.n, e.cfg.PatrolBatch)
 	for i := 0; i < queued; i++ {
-		blk := e.patrolQ[e.patrolHead]
-		e.patrolQ[e.patrolHead] = 0
-		e.patrolHead++
-		e.patrolQ = append(e.patrolQ, blk)
+		e.tail = e.lines.at(e.tail).next
+		ls := e.lines.at(e.tail)
 		e.m.PatrolIssued++
-		issue(blk, pcm.WriteMode(e.lines[blk].mode))
-	}
-	// Reclaim the consumed prefix once it dominates the backing array.
-	if e.patrolHead > len(e.patrolQ)/2 {
-		e.patrolQ = append(e.patrolQ[:0], e.patrolQ[e.patrolHead:]...)
-		e.patrolHead = 0
+		issue(ls.blk, pcm.WriteMode(ls.mode))
 	}
 }
 
 // Finish classifies every still-tracked line once at the end of the
 // measurement window, so errors latent in lines the workload never
 // re-read are reported too. Per-line RNG streams make the totals
-// independent of map iteration order.
+// independent of the order the lines are visited in.
 func (e *Engine) Finish(now timing.Time) {
-	for blk, ls := range e.lines {
-		e.updateFlips(&ls, now)
-		e.lines[blk] = ls
+	for p := range e.lines.n {
+		ls := e.lines.at(uint32(p))
+		e.updateFlips(ls, now)
 		e.m.SweepLines++
 		if f := int(ls.flips); f > e.cfg.ECCBits {
 			e.m.SweepUncorrectable++
@@ -204,4 +217,4 @@ func (e *Engine) Finish(now timing.Time) {
 func (e *Engine) Metrics() Metrics { return e.m }
 
 // Tracked returns the number of currently tracked lines (tests).
-func (e *Engine) Tracked() int { return len(e.lines) }
+func (e *Engine) Tracked() int { return e.lines.n }

@@ -54,8 +54,8 @@ func FuzzReliabilityConfig(f *testing.F) {
 		if m.SweepLines != uint64(e.Tracked()) {
 			t.Fatalf("sweep covered %d of %d tracked lines", m.SweepLines, e.Tracked())
 		}
-		for _, ls := range e.lines {
-			if int(ls.flips) > cfg.LineBits {
+		for p := range e.Tracked() {
+			if ls := e.lines.at(uint32(p)); int(ls.flips) > cfg.LineBits {
 				t.Fatalf("line accumulated %d flips on a %d-bit line", ls.flips, cfg.LineBits)
 			}
 		}

@@ -83,9 +83,8 @@ func TestECCBoundaries(t *testing.T) {
 			e := New(testConfig(), pcm.DefaultDriftTable(), 1, 1, 7)
 			const addr = uint64(0x1000)
 			e.OnWrite(addr, pcm.Mode7SETs, pcm.WearDemandWrite, 0)
-			ls := e.lines[addr]
+			_, ls := e.lines.find(addr)
 			ls.flips = tc.flips
-			e.lines[addr] = ls
 
 			stall := e.OnDemandRead(addr, timing.Microsecond)
 			m := e.Metrics()
